@@ -317,11 +317,6 @@ def _metapaths(cfg: RunConfig, schema: Schema):
     return [schema.metapath(m) for m in cfg.metapath]
 
 
-def _walk_params(cfg: RunConfig, g: TripartiteGraph):
-    scale = cfg.walk_scale if cfg.walk_scale is not None else float(max(g.num_nodes, 1))
-    return cfg.min_walks, cfg.max_walks, scale, cfg.walk_length
-
-
 def run(subcommand: str, cfg: RunConfig) -> int:
     """Execute one subcommand; returns the process exit status."""
     log.info("effective configuration:")
@@ -355,8 +350,8 @@ def run(subcommand: str, cfg: RunConfig) -> int:
         g = _load_graph(cfg)
         schema = _schema(cfg)
         scores = hits(g)
-        corpus = generate_corpus(g, _metapaths(cfg, schema), scores,
-                                 *_walk_params(cfg, g), seed=cfg.seed)
+        corpus = generate_corpus(g, _metapaths(cfg, schema), scores, cfg.min_walks,
+                                 cfg.max_walks, cfg.walk_scale, cfg.walk_length, cfg.seed)
         write_walks(corpus, g, cfg.out)
         log.info("wrote %d walks to %s", len(corpus), cfg.out)
         return 0

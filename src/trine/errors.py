@@ -5,14 +5,18 @@ class TrineError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class EdgeListError(TrineError):
-    """Malformed edge-list input. Carries the offending line number."""
+class _LineError(TrineError):
+    """Malformed input file. Carries the offending line number, if known."""
 
     def __init__(self, message: str, line_no: int | None = None):
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
+
+
+class EdgeListError(_LineError):
+    """Malformed edge-list input. Carries the offending line number."""
 
 
 class SchemaError(TrineError):
@@ -31,14 +35,8 @@ class NonFiniteError(TrineError):
     """A parameter update produced NaN or Inf."""
 
 
-class EmbeddingFileError(TrineError):
+class EmbeddingFileError(_LineError):
     """Malformed embedding file. Carries the offending line number."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
 
 
 class EvalError(TrineError):

@@ -8,26 +8,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvalError
-from .graph import RELATIONS, Metapath, Node, TripartiteGraph
+from .graph import RELATIONS, Metapath, TripartiteGraph
 from .trainer import EmbeddingStore, TrainConfig, train
 
 log = logging.getLogger(__name__)
 
 _DATASET_STREAM = 505
 _SPLIT_STREAM = 606
-
-
-def edge_embedding(store: EmbeddingStore, u: Node, v: Node) -> np.ndarray:
-    """Componentwise mean of the two endpoint embedding rows.
-
-    This is not the link classifier's feature: the harness scores pairs by
-    the Hadamard product of the endpoint embeddings (see ``_features``).
-    """
-    a = store.emb[u.party][u.index]
-    b = store.emb[v.party][v.index]
-    if a.shape != b.shape:
-        raise EvalError(f"embedding dimension mismatch: {a.shape} vs {b.shape}")
-    return (a + b) / 2.0
 
 
 @dataclass

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import logging
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SamplerError
 from .graph import N_PARTIES, Node, TripartiteGraph
-from .walks import TypedCorpus
+from .walks import TypedCorpus, window_pairs
 
 log = logging.getLogger(__name__)
 
@@ -18,26 +19,15 @@ DEFAULT_POWER = 0.75
 _MAX_ATTEMPTS_PER_SAMPLE = 100
 
 
-def context_pairs(seq: list[int], window: int) -> list[tuple[int, int]]:
-    """All ordered (center, context) pairs within ``window`` positions.
+class _PartyTable(NamedTuple):
+    """One party's proposal table and exclusion rows; see :class:`NegativeSampler`."""
 
-    For every position i and every j != i with |i - j| <= window, emits
-    (seq[i], seq[j]). A singleton sequence yields no pairs.
-    """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    n = len(seq)
-    pairs = []
-    for i in range(n):
-        for j in range(max(0, i - window), min(n, i + window + 1)):
-            if j != i:
-                pairs.append((seq[i], seq[j]))
-    return pairs
-
-
-def window_partners(seq: list[int], pos: int, window: int) -> list[int]:
-    """Context nodes of one occurrence: the window around ``pos``, excluding it."""
-    return seq[max(0, pos - window):pos] + seq[pos + 1:pos + window + 1]
+    probs: np.ndarray
+    cumulative: np.ndarray
+    starts: np.ndarray
+    cols: np.ndarray
+    self_in_bucket: np.ndarray
+    mass: np.ndarray
 
 
 class NegativeSampler:
@@ -47,18 +37,22 @@ class NegativeSampler:
     to ``power``; a node's bucket is every same-party node that co-occurred
     with it inside the window anywhere in the typed corpus. Draws reject the
     center itself and its bucket.
+
+    Buckets are stored per party as one sorted CSR: row ``c`` is
+    ``cols[starts[c]:starts[c + 1]]``, the bucket of ``c`` together with
+    ``c`` itself, so that a draw is rejected by one membership test. Whether
+    ``c`` belongs to its own bucket (it co-occurs with itself in a window) is
+    kept apart in ``self_in_bucket``. Each node's admissible mass is computed
+    once, at build time. The tables' last cumulative entry is pinned to 1.0,
+    so a uniform draw in [0, 1) always lands on a node.
     """
 
     # Below this admissible probability mass, rejection is replaced by exact
     # sampling from the renormalized restricted table (same distribution).
     _REJECTION_MIN_MASS = 0.25
 
-    def __init__(self, cumulative: list[np.ndarray], exclusions: list[dict[int, set[int]]],
-                 power: float, window: int):
-        self._cumulative = cumulative
-        self._probs = [np.diff(c, prepend=0.0) for c in cumulative]
-        self._exclusions = exclusions
-        self._mass_cache: dict[Node, float] = {}
+    def __init__(self, tables: list[_PartyTable], power: float, window: int):
+        self._tables = tables
         self._restricted_cache: dict[Node, np.ndarray] = {}
         self.power = power
         self.window = window
@@ -68,8 +62,7 @@ class NegativeSampler:
               window: int = 5) -> "NegativeSampler":
         if power <= 0:
             raise ValueError(f"power must be positive, got {power}")
-        cumulative = []
-        exclusions: list[dict[int, set[int]]] = []
+        tables = []
         for p in range(N_PARTIES):
             n = g.counts[p]
             counts = typed.occurrence_counts(p, n).astype(np.float64)
@@ -84,34 +77,42 @@ class NegativeSampler:
                 probs /= probs.sum()
             else:
                 probs = np.zeros(0)
-            cumulative.append(np.cumsum(probs))
-            buckets: dict[int, set[int]] = {}
-            for seq in typed.sequences(p):
-                for i, center in enumerate(seq):
-                    bucket = buckets.setdefault(center, set())
-                    bucket.update(window_partners(seq, i, window))
-            exclusions.append(buckets)
-        return cls(cumulative, exclusions, power, window)
+            cum = np.cumsum(probs)
+            probs = np.diff(cum, prepend=0.0)
+
+            nodes = typed.nodes[p].astype(np.int64)
+            center, context = (nodes[pos] for pos in window_pairs(*typed.windows(p, window)))
+            own = np.zeros(n, dtype=bool)
+            own[center[center == context]] = True
+            # row c holds c's bucket plus c itself, as sorted codes c * n + member
+            codes = np.unique(np.concatenate([center * n + context, np.arange(n) * (n + 1)]))
+            rows, cols = np.divmod(codes, max(n, 1))
+            starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+            # as in the per-node definition, the center's probability counts
+            # once for rejecting it and once more if it is in its own bucket
+            excluded = np.bincount(rows, weights=probs[cols], minlength=n) + probs * own
+            tables.append(_PartyTable(probs, _pinned(cum), starts, cols, own,
+                                      np.maximum(1.0 - excluded, 0.0)))
+        return cls(tables, power, window)
 
     def table_probabilities(self, party: int) -> np.ndarray:
         """The proposal distribution for one party (sums to 1)."""
-        return self._probs[party].copy()
+        return self._tables[party].probs.copy()
+
+    def _row(self, node: Node) -> np.ndarray:
+        """The node's bucket plus the node itself, sorted."""
+        t = self._tables[node.party]
+        return t.cols[t.starts[node.index]:t.starts[node.index + 1]]
 
     def exclusion_bucket(self, node: Node) -> frozenset[int]:
-        return frozenset(self._exclusions[node.party].get(node.index, ()))
+        bucket = frozenset(self._row(node).tolist())
+        if self._tables[node.party].self_in_bucket[node.index]:
+            return bucket
+        return bucket - {node.index}
 
     def available_mass(self, center: Node) -> float:
         """Probability mass of nodes admissible as negatives for this center."""
-        cached = self._mass_cache.get(center)
-        if cached is not None:
-            return cached
-        probs = self._probs[center.party]
-        excluded = float(probs[center.index]) if center.index < len(probs) else 0.0
-        for z in self._exclusions[center.party].get(center.index, ()):
-            excluded += probs[z]
-        mass = max(1.0 - excluded, 0.0)
-        self._mass_cache[center] = mass
-        return mass
+        return float(self._tables[center.party].mass[center.index])
 
     def has_negatives(self, center: Node) -> bool:
         """Whether any admissible node carries probability mass for this center.
@@ -125,13 +126,10 @@ class NegativeSampler:
     def _restricted_cumulative(self, center: Node) -> np.ndarray:
         cum = self._restricted_cache.get(center)
         if cum is None:
-            probs = self._probs[center.party].copy()
-            probs[center.index] = 0.0
-            excl = list(self._exclusions[center.party].get(center.index, ()))
-            if excl:
-                probs[excl] = 0.0
+            probs = self._tables[center.party].probs.copy()
+            probs[self._row(center)] = 0.0
             probs /= probs.sum()
-            cum = np.cumsum(probs)
+            cum = _pinned(np.cumsum(probs))
             self._restricted_cache[center] = cum
         return cum
 
@@ -142,6 +140,10 @@ class NegativeSampler:
         large; for heavily excluded centers the draw switches to the exact
         renormalized restricted table (the same conditional distribution).
         Raises :class:`SamplerError` when no admissible mass remains.
+
+        Rejection draws in rounds of as many uniforms as negatives are still
+        missing. A round cannot overshoot, so the generator yields the same
+        values, in the same order, as drawing and testing one at a time.
         """
         if ns == 0:
             return []
@@ -152,11 +154,10 @@ class NegativeSampler:
                 "every node with probability mass (degenerate party)"
             )
         if mass < self._REJECTION_MIN_MASS:
-            cum = self._restricted_cumulative(center)
-            picks = np.searchsorted(cum, rng.random(ns), side="right")
-            return [min(int(z), len(cum) - 1) for z in picks]
-        cum = self._cumulative[center.party]
-        excl = self._exclusions[center.party].get(center.index, ())
+            return self._restricted_cumulative(center).searchsorted(
+                rng.random(ns), side="right").tolist()
+        cum = self._tables[center.party].cumulative
+        row = self._row(center)
         out: list[int] = []
         attempts = 0
         budget = _MAX_ATTEMPTS_PER_SAMPLE * ns
@@ -166,9 +167,15 @@ class NegativeSampler:
                     f"could not draw {ns} negatives for {center} after {attempts} attempts; "
                     "the party is degenerate (all probability mass excluded)"
                 )
-            attempts += 1
-            z = min(int(cum.searchsorted(rng.random(), side="right")), len(cum) - 1)
-            if z == center.index or z in excl:
-                continue
-            out.append(z)
+            k = min(ns - len(out), budget - attempts)
+            attempts += k
+            zs = cum.searchsorted(rng.random(k), side="right")
+            out += zs[row.take(row.searchsorted(zs), mode="clip") != zs].tolist()
         return out
+
+
+def _pinned(cum: np.ndarray) -> np.ndarray:
+    """Set a cumulative table's last entry to exactly 1.0, in place."""
+    if len(cum):
+        cum[-1] = 1.0
+    return cum

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import DEFAULT_SCHEMA, N_PARTIES, Schema, TripartiteGraph, build_from_pairs
+from .graph import (DEFAULT_SCHEMA, N_PARTIES, RELATIONS, Schema, TripartiteGraph,
+                    build_from_pairs)
 
 _SYNTH_STREAM = 707
 
@@ -51,7 +52,7 @@ def planted_graph(counts: tuple[int, int, int], communities: int, p_in: float, p
     comm = [np.arange(counts[p]) % communities for p in range(N_PARTIES)]
     acts = [_user_activities(counts[0], activity_spread), np.ones(counts[1]), np.ones(counts[2])]
     edges = []
-    for r, (a, b) in enumerate(((0, 1), (1, 2), (0, 2))):
+    for r, (a, b) in enumerate(RELATIONS):
         match = comm[a][:, None] == comm[b][None, :]
         base = np.where(match, p_in, p_out)
         prob = np.minimum(1.0, base * acts[a][:, None] * acts[b][None, :])
@@ -74,7 +75,7 @@ def write_edge_list(g: TripartiteGraph, path) -> None:
     node universe is preserved on reload.
     """
     degree: dict[tuple[int, int], int] = {}
-    for r, (a, b) in enumerate(((0, 1), (1, 2), (0, 2))):
+    for r, (a, b) in enumerate(RELATIONS):
         for i, j in zip(g.edge_src[r], g.edge_dst[r]):
             degree[(a, int(i))] = degree.get((a, int(i)), 0) + 1
             degree[(b, int(j))] = degree.get((b, int(j)), 0) + 1
@@ -84,6 +85,6 @@ def write_edge_list(g: TripartiteGraph, path) -> None:
             for i in range(g.counts[p]):
                 if (p, i) not in degree:
                     fh.write(g.labels[p][i] + "\n")
-        for r in range(3):
+        for r in range(len(RELATIONS)):
             for e in g.edges(r):
                 fh.write(f"{g.label_of(e.src)} {g.label_of(e.dst)} {e.weight:.9g}\n")

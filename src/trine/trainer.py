@@ -18,8 +18,8 @@ import numpy as np
 from .centrality import hits
 from .errors import ConfigError, EmbeddingFileError, NonFiniteError
 from .graph import N_PARTIES, RELATIONS, Edge, Metapath, Node, Schema, TripartiteGraph
-from .sampling import NegativeSampler, window_partners
-from .walks import TypedCorpus, filter_by_type, generate_corpus
+from .sampling import NegativeSampler
+from .walks import TypedCorpus, filter_by_type, generate_corpus, window_pairs
 
 log = logging.getLogger(__name__)
 
@@ -56,8 +56,8 @@ class TrainConfig:
 
     ``alpha`` weights the per-party implicit terms, ``beta`` the per-relation
     explicit terms. ``gamma`` globally scales the explicit gradient on top of
-    the relation's beta weight. ``walk_scale=None`` resolves to the node count
-    at train time so budgets stay within min/max for typical score magnitudes.
+    the relation's beta weight. ``walk_scale=None`` leaves the walk-budget
+    scale to ``generate_corpus``, which resolves it to the node count.
     """
 
     dim: int = 128
@@ -248,30 +248,6 @@ def _explicit_loss(store: EmbeddingStore, g: TripartiteGraph) -> tuple[float, fl
     return tuple(out)
 
 
-def _pair_counts(seq_lens: np.ndarray, window: int) -> np.ndarray:
-    """Ordered window-pair count per sequence of the given lengths."""
-    counts = np.zeros(len(seq_lens), dtype=np.int64)
-    for i, n in enumerate(seq_lens):
-        k = min(window, n - 1)
-        # ordered pairs with gap 1..k: 2 * sum_{g=1..k} (n - g)
-        counts[i] = 2 * (k * n - k * (k + 1) // 2) if n > 1 else 0
-    return counts
-
-
-def _pair_by_rank(seq: list[int], window: int, rank: int) -> tuple[int, int]:
-    """The rank-th ordered window pair of one sequence, in (i, j) scan order."""
-    n = len(seq)
-    for i in range(n):
-        lo, hi = max(0, i - window), min(n, i + window + 1)
-        span = hi - lo - 1
-        if rank < span:
-            js = [j for j in range(lo, hi) if j != i]
-            j = js[rank]
-            return seq[i], seq[j]
-        rank -= span
-    raise IndexError("pair rank out of range")
-
-
 # Per party: centers, their concatenated [context] + negatives index rows,
 # and the row offsets (CSR form) of the loss draw. int32 halves the cache;
 # node indices stay far below 2**31.
@@ -283,28 +259,17 @@ def _loss_sample(typed: TypedCorpus, sampler: NegativeSampler, cfg: TrainConfig)
     sample: _LossSample = []
     for p in range(N_PARTIES):
         rng = np.random.default_rng([cfg.seed, _LOSS_STREAM, p])
-        seqs = typed.sequences(p)
-        lens = np.array([len(s) for s in seqs], dtype=np.int64)
-        counts = _pair_counts(lens, cfg.window) if len(seqs) else np.zeros(0, dtype=np.int64)
-        total = int(counts.sum())
-        if total <= _LOSS_EVAL_MAX_PAIRS:
-            pairs = [(c, x) for seq in seqs for (c, x) in _seq_pairs(seq, cfg.window)]
-        else:
-            cum = np.cumsum(counts)
-            picks = rng.integers(total, size=_LOSS_EVAL_MAX_PAIRS)
-            pairs = []
-            for pick in picks:
-                si = int(np.searchsorted(cum, pick, side="right"))
-                offset = int(pick - (cum[si - 1] if si else 0))
-                pairs.append(_pair_by_rank(seqs[si], cfg.window, offset))
-        centers = np.empty(len(pairs), dtype=np.int32)
-        zs = np.empty(len(pairs) * (1 + cfg.negatives), dtype=np.int32)
-        offsets = np.zeros(len(pairs) + 1, dtype=np.int32)
+        lo, hi = typed.windows(p, cfg.window)
+        total = int((hi - lo - 1).sum())
+        capped = total > _LOSS_EVAL_MAX_PAIRS
+        ranks = rng.integers(total, size=_LOSS_EVAL_MAX_PAIRS) if capped else None
+        centers, contexts = (typed.nodes[p][pos] for pos in window_pairs(lo, hi, ranks))
+        zs = np.empty(len(centers) * (1 + cfg.negatives), dtype=np.int32)
+        offsets = np.zeros(len(centers) + 1, dtype=np.int32)
         end = 0
-        for k, (center, context) in enumerate(pairs):
+        for k, (center, context) in enumerate(zip(centers.tolist(), contexts.tolist())):
             node = Node(p, center)
             negs = sampler.sample(node, cfg.negatives, rng) if sampler.has_negatives(node) else []
-            centers[k] = center
             zs[end] = context
             zs[end + 1:end + 1 + len(negs)] = negs
             end += 1 + len(negs)
@@ -342,23 +307,6 @@ def compute_loss(store: EmbeddingStore, g: TripartiteGraph, typed: TypedCorpus,
     return _loss_on_sample(store, g, _loss_sample(typed, sampler, cfg), cfg)
 
 
-def _seq_pairs(seq: list[int], window: int):
-    n = len(seq)
-    for i in range(n):
-        for j in range(max(0, i - window), min(n, i + window + 1)):
-            if j != i:
-                yield seq[i], seq[j]
-
-
-def _occurrences(typed: TypedCorpus) -> list[dict[int, list[tuple[int, int]]]]:
-    occ: list[dict[int, list[tuple[int, int]]]] = [{}, {}, {}]
-    for p in range(N_PARTIES):
-        for si, seq in enumerate(typed.sequences(p)):
-            for pos, idx in enumerate(seq):
-                occ[p].setdefault(idx, []).append((si, pos))
-    return occ
-
-
 def train(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
           on_epoch: Callable[[int, LossReport], None] | None = None) -> EmbeddingStore:
     """Full training loop: walks, then per-epoch edge-driven joint updates.
@@ -378,13 +326,17 @@ def train(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
     if all(len(w) == 0 for w in g.edge_wt):
         raise ValueError("cannot train on a graph with no edges")
 
-    scale = cfg.walk_scale if cfg.walk_scale is not None else float(g.num_nodes)
     scores = hits(g)
     corpus = generate_corpus(g, metapaths, scores, cfg.min_walks, cfg.max_walks,
-                             scale, cfg.walk_length, cfg.seed)
+                             cfg.walk_scale, cfg.walk_length, cfg.seed)
     typed = filter_by_type(corpus)
     sampler = NegativeSampler.build(typed, g, cfg.power, cfg.window)
-    occ = _occurrences(typed)
+    # per party: every occurrence's window; all flat positions grouped by node
+    # (corpus order within a node), and where each node's group starts
+    windows = [typed.windows(p, cfg.window) for p in range(N_PARTIES)]
+    occ_order = [np.argsort(typed.nodes[p], kind="stable") for p in range(N_PARTIES)]
+    occ_start = [np.concatenate([[0], np.cumsum(typed.occurrence_counts(p, g.counts[p]))])
+                 for p in range(N_PARTIES)]
 
     store = init_embeddings(g, cfg, np.random.default_rng([cfg.seed, _INIT_STREAM]))
     rng = np.random.default_rng([cfg.seed, _TRAIN_STREAM])
@@ -412,14 +364,15 @@ def train(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
                     for party, index in ((a, int(i)), (b, int(j))):
                         if cfg.alpha[party] == 0.0:
                             continue
-                        occs = occ[party].get(index)
-                        if not occs:
+                        first, end = occ_start[party][index:index + 2].tolist()
+                        if first == end:
                             continue
-                        si, pos = occs[int(rng.integers(len(occs)))]
-                        seq = typed.sequences(party)[si]
+                        k = occ_order[party][first + int(rng.integers(end - first))]
+                        lo, hi = windows[party][0][k], windows[party][1][k]
+                        nodes = typed.nodes[party]
                         node = Node(party, index)
                         can_sample = sampler.has_negatives(node)
-                        for partner in window_partners(seq, pos, cfg.window):
+                        for partner in nodes[lo:k].tolist() + nodes[k + 1:hi].tolist():
                             negs = sampler.sample(node, cfg.negatives, rng) if can_sample else []
                             _implicit_update_idx(store, party, index, partner, negs,
                                                  cfg.alpha[party], cfg, lr)

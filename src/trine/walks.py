@@ -29,19 +29,70 @@ class WalkCorpus:
 
 @dataclass
 class TypedCorpus:
-    """Per-party homogeneous sequences of node indices, order preserved."""
+    """Per-party homogeneous sequences of node indices, order preserved, in CSR form.
 
-    by_party: tuple[list[list[int]], list[list[int]], list[list[int]]]
+    For each party, ``nodes[p]`` (int32) concatenates the party's non-empty
+    subsequences of the walks, in walk order, and ``offsets[p]`` (int64, one
+    more entry than there are sequences) delimits them: sequence ``s`` is
+    ``nodes[p][offsets[p][s]:offsets[p][s + 1]]``. A position in ``nodes[p]``
+    is an occurrence; every derived structure (window pairs, occurrence
+    lookup, exclusion buckets) is indexed by these flat positions.
+    """
+
+    nodes: tuple[np.ndarray, np.ndarray, np.ndarray]
+    offsets: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    @classmethod
+    def from_sequences(cls, by_party) -> "TypedCorpus":
+        """Build from three lists of per-party sequences (empty sequences are dropped)."""
+        nodes, offsets = [], []
+        for seqs in by_party:
+            seqs = [s for s in seqs if len(s)]
+            nodes.append(np.array([i for s in seqs for i in s], dtype=np.int32))
+            offsets.append(np.cumsum([0] + [len(s) for s in seqs], dtype=np.int64))
+        return cls(tuple(nodes), tuple(offsets))
 
     def sequences(self, party: int) -> list[list[int]]:
-        return self.by_party[party]
+        nodes, offsets = self.nodes[party], self.offsets[party]
+        return [nodes[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])]
 
     def occurrence_counts(self, party: int, n: int) -> np.ndarray:
-        counts = np.zeros(n, dtype=np.int64)
-        for seq in self.by_party[party]:
-            for i in seq:
-                counts[i] += 1
-        return counts
+        return np.bincount(self.nodes[party], minlength=n)
+
+    def windows(self, party: int, window: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each occurrence's context window ``[lo, hi)`` of flat positions.
+
+        The window spans ``window`` positions either side of the occurrence,
+        clipped to its own sequence; it includes the occurrence itself.
+        """
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
+        offsets = self.offsets[party]
+        lens = np.diff(offsets)
+        pos = np.arange(offsets[-1])
+        lo = np.maximum(pos - window, np.repeat(offsets[:-1], lens))
+        hi = np.minimum(pos + window + 1, np.repeat(offsets[1:], lens))
+        return lo, hi
+
+
+def window_pairs(lo: np.ndarray, hi: np.ndarray,
+                 ranks: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions (center, context) of ordered window pairs.
+
+    Pairs are ranked in (sequence, i, j) scan order: by the center's flat
+    position, then by the context's. ``ranks`` selects pairs by rank; by
+    default every pair is returned.
+    """
+    span = hi - lo - 1
+    ends = np.cumsum(span)
+    if ranks is None:
+        center = np.repeat(np.arange(len(span)), span)
+        ranks = np.arange(len(center))
+    else:
+        center = np.searchsorted(ends, ranks, side="right")
+    context = lo[center] + ranks - (ends[center] - span[center])
+    context += context >= center
+    return center, context
 
 
 def metapath_walk(g: TripartiteGraph, start: Node, path: Metapath, length: int,
@@ -75,23 +126,28 @@ def metapath_walk(g: TripartiteGraph, start: Node, path: Metapath, length: int,
 
 
 def generate_corpus(g: TripartiteGraph, metapaths: list[Metapath], scores: CentralityScores,
-                    min_walks: int, max_walks: int, scale: float, length: int,
+                    min_walks: int, max_walks: int, scale: float | None, length: int,
                     seed: int) -> WalkCorpus:
     """Launch centrality-budgeted walks from every node, per matching metapath.
 
     Each (node, metapath, walk index) triple gets its own RNG stream derived
     from the global seed, so the corpus is reproducible and independent of
-    generation order.
+    generation order. ``scale=None`` resolves to the graph's node count, so
+    budgets stay within min/max for typical score magnitudes.
     """
     if not metapaths:
         raise ValueError("need at least one metapath")
+    if scale is None:
+        scale = float(g.num_nodes)
     starts_by_party: list[list[int]] = [[] for _ in range(N_PARTIES)]
     for m, path in enumerate(metapaths):
         starts_by_party[path.start].append(m)
-    uncovered = [p for p in range(N_PARTIES) if not starts_by_party[p] and g.counts[p] > 0]
+    visited = {t for path in metapaths for t in path.types}
+    uncovered = [p for p in range(N_PARTIES) if p not in visited and g.counts[p] > 0]
     if uncovered:
         names = ", ".join(g.schema.party_names[p] for p in uncovered)
-        log.warning("no metapath starts at party type(s) %s; those nodes launch no walks", names)
+        log.warning("no metapath starts at or visits party type(s) %s; "
+                    "those nodes get no walk context", names)
 
     corpus = WalkCorpus()
     for party in range(N_PARTIES):
@@ -109,15 +165,16 @@ def generate_corpus(g: TripartiteGraph, metapaths: list[Metapath], scores: Centr
 
 def filter_by_type(corpus: WalkCorpus) -> TypedCorpus:
     """Split every walk into per-party subsequences, dropping empty ones."""
-    by_party: tuple[list[list[int]], ...] = ([], [], [])
+    nodes: tuple[list[int], ...] = ([], [], [])
+    offsets: tuple[list[int], ...] = ([0], [0], [0])
     for walk in corpus.walks:
-        parts: tuple[list[int], ...] = ([], [], [])
         for node in walk:
-            parts[node.party].append(node.index)
+            nodes[node.party].append(node.index)
         for p in range(N_PARTIES):
-            if parts[p]:
-                by_party[p].append(parts[p])
-    return TypedCorpus(by_party)
+            if len(nodes[p]) > offsets[p][-1]:
+                offsets[p].append(len(nodes[p]))
+    return TypedCorpus(tuple(np.array(n, dtype=np.int32) for n in nodes),
+                       tuple(np.array(o, dtype=np.int64) for o in offsets))
 
 
 def write_walks(corpus: WalkCorpus, g: TripartiteGraph, path) -> None:

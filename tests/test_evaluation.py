@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from trine.errors import EvalError
-from trine.evaluation import (EvalReport, auc_pr, auc_roc, edge_embedding,
-                              evaluate, evaluate_end_to_end, f1_score, kfold_split,
-                              make_link_dataset, train_classifier)
-from trine.graph import Node, build_from_pairs
+from trine.evaluation import (EvalReport, auc_pr, auc_roc, evaluate, evaluate_end_to_end,
+                              f1_score, kfold_split, make_link_dataset, train_classifier)
+from trine.graph import build_from_pairs
 from trine.synth import planted_graph, random_graph
-from trine.trainer import EmbeddingStore, TrainConfig, default_metapaths, init_embeddings
+from trine.trainer import TrainConfig, default_metapaths, init_embeddings
 
 from conftest import random_tripartite
 
@@ -51,26 +50,6 @@ def solve_two_point_logistic(x1, x0, l2):
             hi = mid
     w = (lo + hi) / 2.0
     return w, -w * (x1 + x0) / 2.0
-
-
-class TestEdgeEmbedding:
-    def _store(self, vectors_u, vectors_p):
-        g = build_from_pairs((len(vectors_u), len(vectors_p), 0), [])
-        emb = [np.array(vectors_u, dtype=float), np.array(vectors_p, dtype=float),
-               np.zeros((0, len(vectors_u[0])))]
-        return EmbeddingStore(emb, [m.copy() for m in emb], g.labels)
-
-    def test_identical_vectors(self):
-        store = self._store([[1.0, 2.0]], [[1.0, 2.0]])
-        assert np.array_equal(edge_embedding(store, Node(0, 0), Node(1, 0)), [1.0, 2.0])
-
-    def test_opposite_vectors_cancel(self):
-        store = self._store([[3.0, -1.0]], [[-3.0, 1.0]])
-        assert np.array_equal(edge_embedding(store, Node(0, 0), Node(1, 0)), [0.0, 0.0])
-
-    def test_mean(self):
-        store = self._store([[1.0, 3.0]], [[3.0, 5.0]])
-        assert np.array_equal(edge_embedding(store, Node(0, 0), Node(1, 0)), [2.0, 4.0])
 
 
 class TestMakeLinkDataset:

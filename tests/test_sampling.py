@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from trine.errors import SamplerError
 from trine.graph import Node, build_from_pairs
-from trine.sampling import NegativeSampler, context_pairs, window_partners
-from trine.walks import TypedCorpus
+from trine.sampling import NegativeSampler
+from trine.walks import TypedCorpus, window_pairs
 
 
 def brute_force_pairs(seq, window):
@@ -19,40 +19,67 @@ def brute_force_pairs(seq, window):
 
 
 def typed_corpus(seqs_u=(), seqs_p=(), seqs_c=()):
-    return TypedCorpus((list(map(list, seqs_u)), list(map(list, seqs_p)), list(map(list, seqs_c))))
+    return TypedCorpus.from_sequences((seqs_u, seqs_p, seqs_c))
+
+
+def scan_pairs(seqs, window, ranks=None):
+    """(center, context) node pairs of the window routine over one party's sequences."""
+    typed = typed_corpus(seqs_u=seqs)
+    center, context = window_pairs(*typed.windows(0, window), ranks)
+    nodes = typed.nodes[0]
+    return list(zip(nodes[center].tolist(), nodes[context].tolist()))
+
+
+sequences = st.lists(st.lists(st.integers(0, 9), max_size=12), max_size=5)
 
 
 class TestContextPairs:
     def test_window_one(self):
-        assert context_pairs([5, 7, 9], 1) == [(5, 7), (7, 5), (7, 9), (9, 7)]
+        assert scan_pairs([[5, 7, 9]], 1) == [(5, 7), (7, 5), (7, 9), (9, 7)]
 
     def test_window_exceeds_length(self):
-        assert context_pairs([1, 2], 5) == [(1, 2), (2, 1)]
+        assert scan_pairs([[1, 2]], 5) == [(1, 2), (2, 1)]
 
     def test_all_ordered_pairs_when_window_covers(self):
         for n in (2, 4, 7):
             seq = list(range(n))
-            assert len(context_pairs(seq, n)) == n * (n - 1)
+            assert len(scan_pairs([seq], n)) == n * (n - 1)
 
     def test_singleton_and_empty(self):
-        assert context_pairs([3], 2) == []
-        assert context_pairs([], 2) == []
+        assert scan_pairs([[3]], 2) == []
+        assert scan_pairs([[]], 2) == []
+        assert scan_pairs([], 2) == []
 
     def test_bad_window(self):
         with pytest.raises(ValueError):
-            context_pairs([1, 2], 0)
+            typed_corpus(seqs_u=[[1, 2]]).windows(0, 0)
 
-    @given(st.lists(st.integers(0, 9), max_size=12), st.integers(1, 6))
+    @given(sequences, st.integers(1, 6))
     @settings(max_examples=200, deadline=None)
-    def test_matches_brute_force(self, seq, window):
-        assert sorted(context_pairs(seq, window)) == sorted(brute_force_pairs(seq, window))
+    def test_matches_brute_force(self, seqs, window):
+        # scan order: sequence, then center position, then context position
+        expected = [pair for seq in seqs for pair in brute_force_pairs(seq, window)]
+        assert scan_pairs(seqs, window) == expected
+
+    @given(sequences, st.integers(1, 6), st.lists(st.integers(0, 10**6), max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_ranks_pick_scan_order(self, seqs, window, raw_ranks):
+        expected = [pair for seq in seqs for pair in brute_force_pairs(seq, window)]
+        ranks = np.array([r % len(expected) for r in raw_ranks] if expected else [],
+                         dtype=np.int64)
+        assert scan_pairs(seqs, window, ranks) == [expected[r] for r in ranks]
 
     @given(st.lists(st.integers(0, 9), min_size=2, max_size=10),
            st.integers(1, 10), st.integers(0, 9))
     @settings(max_examples=200, deadline=None)
     def test_window_partners_consistent(self, seq, window, pos):
         pos = pos % len(seq)
-        partners = window_partners(seq, pos, window)
+        # the sequence sits between two others, so clipping must stay inside it
+        typed = typed_corpus(seqs_u=[[0, 1], seq, [2]])
+        lo, hi = typed.windows(0, window)
+        k = 2 + pos
+        nodes = typed.nodes[0].tolist()
+        partners = nodes[lo[k]:k] + nodes[k + 1:hi[k]]
         expected = [seq[j] for j in range(len(seq))
                     if j != pos and abs(j - pos) <= window]
         assert partners == expected
@@ -88,6 +115,21 @@ class TestBuildSampler:
         assert sampler.exclusion_bucket(Node(0, 2)) == {1, 3}
         sampler2 = NegativeSampler.build(typed, g, window=3)
         assert sampler2.exclusion_bucket(Node(0, 0)) == {1, 2, 3}
+
+    @given(st.lists(st.lists(st.integers(0, 7), max_size=9), max_size=6), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_buckets_and_mass_match_per_node_definition(self, seqs, window):
+        g = build_from_pairs((8, 1, 0), [(0, i, 0, 1.0) for i in range(8)])
+        sampler = NegativeSampler.build(typed_corpus(seqs_u=seqs), g, window=window)
+        probs = sampler.table_probabilities(0)
+        for c in range(8):
+            # every node within the window of an occurrence of c, c itself only
+            # when a second occurrence of c is that close
+            bucket = {seq[j] for seq in seqs for i in range(len(seq)) if seq[i] == c
+                      for j in range(len(seq)) if j != i and abs(i - j) <= window}
+            assert sampler.exclusion_bucket(Node(0, c)) == bucket
+            mass = max(1.0 - probs[c] - sum(probs[z] for z in bucket), 0.0)
+            assert abs(sampler.available_mass(Node(0, c)) - mass) <= 1e-12
 
 
 class TestSampleNegatives:
@@ -138,6 +180,28 @@ class TestSampleNegatives:
         for z in draws:
             counts[z] += 1
         assert np.max(np.abs(counts / n - expected)) < 0.01
+
+    def test_rejection_stream_matches_one_draw_at_a_time(self):
+        # the reference draws and tests one uniform at a time; the sampler must
+        # return the same negatives and leave the generator in the same state
+        seqs = [[0, 1], [2, 3, 4], [5], [5, 6, 7, 8], [9, 9], [1, 5]]
+        seqs += [[k] for k in range(10)] * 3
+        sampler = self._sampler(10, seqs)
+        cum = np.cumsum(sampler.table_probabilities(0))
+        for seed in range(20):
+            for c in range(10):
+                center = Node(0, c)
+                if sampler.available_mass(center) < NegativeSampler._REJECTION_MIN_MASS:
+                    continue
+                excl = sampler.exclusion_bucket(center)
+                ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                expected = []
+                while len(expected) < 6:
+                    z = min(int(cum.searchsorted(ref_rng.random(), side="right")), len(cum) - 1)
+                    if z != c and z not in excl:
+                        expected.append(z)
+                assert sampler.sample(center, 6, rng) == expected
+                assert rng.random() == ref_rng.random()
 
     def test_determinism(self):
         sampler = self._sampler(8, [[0, 1, 2], [3, 4, 5, 6, 7]])

@@ -7,13 +7,14 @@ from trine.errors import ConfigError, EmbeddingFileError, NonFiniteError
 from trine.graph import DEFAULT_SCHEMA, Edge, Node, build_from_pairs
 from trine.sampling import NegativeSampler
 from trine.synth import planted_graph
-from trine.trainer import (EmbeddingStore, TrainConfig, _INIT_STREAM, _pair_by_rank,
-                           _pair_counts, compute_loss, default_metapaths,
+from trine.trainer import (EmbeddingStore, TrainConfig, _INIT_STREAM, compute_loss,
+                           default_metapaths,
                            explicit_update, implicit_update, init_embeddings,
                            load_embeddings, save_embeddings, sigmoid, train)
-from trine.walks import TypedCorpus
+from trine.walks import TypedCorpus, window_pairs
 
 from conftest import random_tripartite
+from test_sampling import brute_force_pairs
 
 
 def make_store(counts, dim, rng, scale=1.0):
@@ -235,24 +236,23 @@ class TestImplicitUpdate:
 
 class TestPairHelpers:
     def test_pair_counts_match_enumeration(self):
-        from trine.sampling import context_pairs
-
         for n in range(1, 12):
             for window in (1, 2, 5, 11):
                 seq = list(range(n))
-                expected = len(context_pairs(seq, window))
-                assert _pair_counts(np.array([n]), window)[0] == expected
+                lo, hi = TypedCorpus.from_sequences(([seq], [], [])).windows(0, window)
+                assert (hi - lo - 1).sum() == len(brute_force_pairs(seq, window))
 
     def test_pair_by_rank_enumerates_all(self):
-        from trine.sampling import context_pairs
-
         seq = [10, 11, 12, 13, 14]
         window = 2
-        expected = context_pairs(seq, window)
-        got = [_pair_by_rank(seq, window, r) for r in range(len(expected))]
-        assert got == expected
+        typed = TypedCorpus.from_sequences(([seq], [], []))
+        lo, hi = typed.windows(0, window)
+        expected = brute_force_pairs(seq, window)
+        center, context = window_pairs(lo, hi, np.arange(len(expected)))
+        nodes = typed.nodes[0]
+        assert list(zip(nodes[center].tolist(), nodes[context].tolist())) == expected
         with pytest.raises(IndexError):
-            _pair_by_rank(seq, window, len(expected))
+            window_pairs(lo, hi, np.array([len(expected)]))
 
 
 class TestComputeLoss:
@@ -264,7 +264,7 @@ class TestComputeLoss:
         store = EmbeddingStore([np.zeros((1, 4)), np.zeros((1, 4)), np.zeros((0, 4))],
                                [np.zeros((1, 4)), np.zeros((1, 4)), np.zeros((0, 4))],
                                g.labels)
-        typed = TypedCorpus(([], [], []))
+        typed = TypedCorpus.from_sequences(([], [], []))
         sampler = NegativeSampler.build(typed, g)
         report = compute_loss(store, g, typed, sampler, TrainConfig(dim=4))
         assert report.explicit[0] == pytest.approx(math.log(2.0))
@@ -274,7 +274,7 @@ class TestComputeLoss:
         g = self._graph_one_edge()
         cfg = TrainConfig(dim=4)
         store = init_embeddings(g, cfg, np.random.default_rng(0))
-        typed = TypedCorpus(([], [], []))
+        typed = TypedCorpus.from_sequences(([], [], []))
         report = compute_loss(store, g, typed, NegativeSampler.build(typed, g), cfg)
         assert report.implicit == (0.0, 0.0, 0.0)
 
@@ -284,7 +284,7 @@ class TestComputeLoss:
         cfg = TrainConfig(dim=4, alpha=(0.5, 2.0, 1.5), beta=(1.0, 0.25, 3.0),
                           window=2, negatives=2, seed=6)
         store = init_embeddings(g, cfg, np.random.default_rng(1))
-        typed = TypedCorpus(([[0, 1, 2], [3]], [[0, 1]], [[0, 2, 1]]))
+        typed = TypedCorpus.from_sequences(([[0, 1, 2], [3]], [[0, 1]], [[0, 2, 1]]))
         sampler = NegativeSampler.build(typed, g, window=2)
         report = compute_loss(store, g, typed, sampler, cfg)
         expected = -(sum(a * o for a, o in zip(cfg.alpha, report.implicit))
@@ -296,7 +296,7 @@ class TestComputeLoss:
         g = random_tripartite(rng, counts=(5, 4, 3), density=0.5)
         cfg = TrainConfig(dim=4, seed=77, window=2, negatives=3)
         store = init_embeddings(g, cfg, np.random.default_rng(3))
-        typed = TypedCorpus(([[0, 1, 2, 3, 4]] * 3, [[0, 1, 2]] * 2, [[0, 1]]))
+        typed = TypedCorpus.from_sequences(([[0, 1, 2, 3, 4]] * 3, [[0, 1, 2]] * 2, [[0, 1]]))
         sampler = NegativeSampler.build(typed, g, window=2)
         r1 = compute_loss(store, g, typed, sampler, cfg)
         r2 = compute_loss(store, g, typed, sampler, cfg)

@@ -3,6 +3,7 @@ import pytest
 
 from trine.centrality import hits
 from trine.graph import Metapath, Node, build_from_pairs
+from trine.trainer import default_metapaths
 from trine.walks import filter_by_type, generate_corpus, metapath_walk
 
 from conftest import random_tripartite
@@ -95,6 +96,13 @@ class TestGenerateCorpus:
             generate_corpus(chain_graph, [Metapath((0, 1))], hits(chain_graph),
                             1, 1, 1.0, 3, seed=0)
         assert any("no metapath starts" in r.message for r in caplog.records)
+
+    def test_default_metapaths_log_no_warning(self, caplog):
+        # pages start no default metapath but every default metapath visits them
+        g = random_tripartite(np.random.default_rng(5), counts=(4, 4, 4), density=0.6)
+        with caplog.at_level("WARNING"):
+            generate_corpus(g, default_metapaths(), hits(g), 1, 1, None, 5, seed=0)
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
     def test_no_metapaths_rejected(self, chain_graph):
         with pytest.raises(ValueError, match="at least one metapath"):
