@@ -12,53 +12,60 @@ import logging
 import sys
 from dataclasses import dataclass, fields
 
-from . import synth
+from . import centrality, evaluation, synth
 from .centrality import hits
 from .errors import ConfigError, TrineError
 from .evaluation import evaluate, evaluate_end_to_end
-from .graph import RELATION_NAMES, Schema, TripartiteGraph, load_edge_list
-from .trainer import TrainConfig, load_embeddings, save_embeddings, train
+from .graph import DEFAULT_SCHEMA, RELATION_NAMES, Schema, TripartiteGraph, load_edge_list
+from .trainer import TrainConfig, default_metapaths, load_embeddings, save_embeddings, train
 from .walks import generate_corpus, write_walks
 
 log = logging.getLogger("trine")
 
 
+_TRAIN = TrainConfig()
+
+
 @dataclass
 class RunConfig:
-    """Every tunable of every subcommand, with its default."""
+    """Every tunable of every subcommand, with its default.
+
+    A default that another module owns (``TrainConfig``, HITS, the link
+    evaluation) is read from there, so each is written once.
+    """
 
     edges: str | None = None
     out: str | None = None
     embeddings: str | None = None
     report: str | None = None
-    metapath: tuple[str, ...] = ("upcpu", "cpupc")
-    type_chars: str = "upc"
-    dim: int = 128
-    alpha1: float = 1.0
-    alpha2: float = 1.0
-    alpha3: float = 1.0
-    beta1: float = 1.0
-    beta2: float = 1.0
-    beta3: float = 1.0
-    lr: float = 0.025
-    gamma: float = 1.0
-    negatives: int = 4
-    window: int = 5
-    walk_length: int = 32
-    min_walks: int = 1
-    max_walks: int = 32
-    walk_scale: float | None = None
-    power: float = 0.75
-    epochs: int = 20
-    tol: float = 1e-4
-    seed: int = 1
-    lr_decay: bool = False
+    metapath: tuple[str, ...] = tuple(m.describe() for m in default_metapaths())
+    type_chars: str = "".join(DEFAULT_SCHEMA.type_chars)
+    dim: int = _TRAIN.dim
+    alpha1: float = _TRAIN.alpha[0]
+    alpha2: float = _TRAIN.alpha[1]
+    alpha3: float = _TRAIN.alpha[2]
+    beta1: float = _TRAIN.beta[0]
+    beta2: float = _TRAIN.beta[1]
+    beta3: float = _TRAIN.beta[2]
+    lr: float = _TRAIN.lr
+    gamma: float = _TRAIN.gamma
+    negatives: int = _TRAIN.negatives
+    window: int = _TRAIN.window
+    walk_length: int = _TRAIN.walk_length
+    min_walks: int = _TRAIN.min_walks
+    max_walks: int = _TRAIN.max_walks
+    walk_scale: float | None = _TRAIN.walk_scale
+    power: float = _TRAIN.power
+    epochs: int = _TRAIN.epochs
+    tol: float = _TRAIN.tol
+    seed: int = _TRAIN.seed
+    lr_decay: bool = _TRAIN.lr_decay
     relation: str = "13"
-    folds: int = 5
-    neg_ratio: float = 1.0
-    l2: float = 1e-4
-    max_iter: int = 100
-    hits_tol: float = 1e-8
+    folds: int = evaluation.DEFAULT_FOLDS
+    neg_ratio: float = evaluation.DEFAULT_NEG_RATIO
+    l2: float = evaluation.DEFAULT_L2
+    max_iter: int = centrality.DEFAULT_MAX_ITER
+    hits_tol: float = centrality.DEFAULT_TOL
     users: int = 300
     tags: int = 60
     items: int = 30
@@ -275,24 +282,9 @@ def _schema(cfg: RunConfig) -> Schema:
 
 
 def _train_config(cfg: RunConfig) -> TrainConfig:
-    tc = TrainConfig(
-        dim=cfg.dim,
-        alpha=(cfg.alpha1, cfg.alpha2, cfg.alpha3),
-        beta=(cfg.beta1, cfg.beta2, cfg.beta3),
-        lr=cfg.lr,
-        gamma=cfg.gamma,
-        negatives=cfg.negatives,
-        window=cfg.window,
-        walk_length=cfg.walk_length,
-        min_walks=cfg.min_walks,
-        max_walks=cfg.max_walks,
-        walk_scale=cfg.walk_scale,
-        power=cfg.power,
-        epochs=cfg.epochs,
-        tol=cfg.tol,
-        seed=cfg.seed,
-        lr_decay=cfg.lr_decay,
-    )
+    shared = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig) if f.name not in ("alpha", "beta")}
+    tc = TrainConfig(alpha=(cfg.alpha1, cfg.alpha2, cfg.alpha3), beta=(cfg.beta1, cfg.beta2, cfg.beta3),
+                     **shared)
     tc.validate()
     return tc
 

@@ -16,6 +16,10 @@ log = logging.getLogger(__name__)
 _DATASET_STREAM = 505
 _SPLIT_STREAM = 606
 
+DEFAULT_FOLDS = 5
+DEFAULT_NEG_RATIO = 1.0
+DEFAULT_L2 = 1e-4
+
 
 @dataclass
 class LinkDataset:
@@ -45,7 +49,8 @@ def make_link_dataset(g: TripartiteGraph, relation: int, neg_ratio: float,
         raise EvalError(f"neg_ratio must be positive, got {neg_ratio}")
     a, b = RELATIONS[relation]
     na, nb = g.counts[a], g.counts[b]
-    positives = [(int(i), int(j)) for i, j in zip(g.edge_src[relation], g.edge_dst[relation])]
+    src, dst = g.edge_src[relation], g.edge_dst[relation]
+    positives = list(zip(src.tolist(), dst.tolist()))
     if not positives:
         raise EvalError("relation has no edges; nothing to evaluate")
     n_neg = int(np.ceil(neg_ratio * len(positives)))
@@ -57,10 +62,11 @@ def make_link_dataset(g: TripartiteGraph, relation: int, neg_ratio: float,
         )
     negatives: list[tuple[int, int]] = []
     if n_free <= 2 * n_neg:
-        # Dense relation: enumerate the non-edges and subsample exactly.
-        free = [(i, j) for i in range(na) for j in range(nb) if not g.has_edge(relation, i, j)]
-        sel = rng.choice(len(free), size=n_neg, replace=False)
-        negatives = [free[int(s)] for s in sel]
+        # Dense relation: enumerate the non-edges as row-major pair codes
+        # and subsample exactly.
+        free = np.setdiff1d(np.arange(n_pairs), src * nb + dst)
+        i, j = np.divmod(free[rng.choice(len(free), size=n_neg, replace=False)], nb)
+        negatives = list(zip(i.tolist(), j.tolist()))
     else:
         seen = set(positives)
         while len(negatives) < n_neg:
@@ -104,7 +110,7 @@ class LogisticModel:
         return 0.5 * (1.0 + np.tanh(0.5 * self.decision(X)))
 
 
-def train_classifier(X: np.ndarray, y: np.ndarray, l2: float = 1e-4,
+def train_classifier(X: np.ndarray, y: np.ndarray, l2: float = DEFAULT_L2,
                      tol: float = 1e-8, max_iter: int = 10_000) -> LogisticModel:
     """Fit logistic regression by gradient descent to a gradient-norm tolerance.
 
@@ -252,9 +258,8 @@ def _features(store: EmbeddingStore, relation: int, pairs: list[tuple[int, int]]
     folds it memorizes which nodes are active even from random vectors.
     """
     a, b = RELATIONS[relation]
-    src = np.array([p[0] for p in pairs], dtype=np.int64)
-    dst = np.array([p[1] for p in pairs], dtype=np.int64)
-    return store.emb[a][src] * store.emb[b][dst]
+    idx = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return store.emb[a][idx[:, 0]] * store.emb[b][idx[:, 1]]
 
 
 def _fold_metrics(report: EvalReport, scores: np.ndarray, labels: np.ndarray) -> None:
@@ -263,8 +268,8 @@ def _fold_metrics(report: EvalReport, scores: np.ndarray, labels: np.ndarray) ->
     report.f1.append(f1_score(scores, labels))
 
 
-def evaluate(store: EmbeddingStore, g: TripartiteGraph, relation: int, folds: int = 5,
-             neg_ratio: float = 1.0, seed: int = 1, l2: float = 1e-4) -> EvalReport:
+def evaluate(store: EmbeddingStore, g: TripartiteGraph, relation: int, folds: int = DEFAULT_FOLDS,
+             neg_ratio: float = DEFAULT_NEG_RATIO, seed: int = 1, l2: float = DEFAULT_L2) -> EvalReport:
     """Cross-validated link prediction with a fixed, pre-trained embedding.
 
     Note that embeddings trained on the full graph have seen the test edges;
@@ -282,8 +287,8 @@ def evaluate(store: EmbeddingStore, g: TripartiteGraph, relation: int, folds: in
 
 
 def evaluate_end_to_end(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
-                        relation: int, folds: int = 5, neg_ratio: float = 1.0,
-                        l2: float = 1e-4) -> EvalReport:
+                        relation: int, folds: int = DEFAULT_FOLDS, neg_ratio: float = DEFAULT_NEG_RATIO,
+                        l2: float = DEFAULT_L2) -> EvalReport:
     """Leakage-safe protocol: per fold, retrain embeddings without test edges.
 
     The dataset and folds are fixed up front; for each fold the test-fold

@@ -20,10 +20,8 @@ N_PARTIES = 3
 # Relation index -> (party, party), with the lower party listed first.
 RELATIONS: tuple[tuple[int, int], ...] = ((0, 1), (1, 2), (0, 2))
 
-RELATION_OF_PAIR: dict[tuple[int, int], int] = {}
-for _r, (_a, _b) in enumerate(RELATIONS):
-    RELATION_OF_PAIR[(_a, _b)] = _r
-    RELATION_OF_PAIR[(_b, _a)] = _r
+RELATION_OF_PAIR: dict[tuple[int, int], int] = {
+    pair: r for r, (a, b) in enumerate(RELATIONS) for pair in ((a, b), (b, a))}
 
 # Relation names as used on the command line ("13" = parties T1 and T3).
 RELATION_NAMES: tuple[str, ...] = ("12", "23", "13")
@@ -141,45 +139,43 @@ class ValidationReport:
 class TripartiteGraph:
     """Immutable weighted tripartite graph with symmetric adjacency.
 
-    Construction goes through :class:`GraphBuilder` or :func:`load_edge_list`.
-    After construction the graph is read-only and safe to share across
-    threads or workers.
+    ``edges`` gives per relation ``(src, dst, wt)`` arrays in any order, where
+    ``src`` indexes the relation's first party (ValueError if out of range);
+    a repeated pair's weights are summed in input order. The graph stores
+    them once, as ``edge_src`` / ``edge_dst`` / ``edge_wt`` sorted by (i, j)
+    without repeats, plus the CSR adjacency derived from them. It is
+    read-only once built.
     """
 
     def __init__(self, schema: Schema, labels: tuple[list[str], ...],
-                 edge_weights: tuple[dict[tuple[int, int], float], ...]):
+                 edges: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]):
         self.schema = schema
         self.labels = labels
         self.counts = tuple(len(ls) for ls in labels)
         self._index_of = {lab: Node(p, i) for p in range(N_PARTIES) for i, lab in enumerate(labels[p])}
-        # Per relation: edge arrays sorted by (i, j); i indexes the first
-        # party of the relation, j the second.
-        self._edge_weights = edge_weights
         self.edge_src: list[np.ndarray] = []
         self.edge_dst: list[np.ndarray] = []
         self.edge_wt: list[np.ndarray] = []
         self.total_weight: list[float] = []
-        for r in range(len(RELATIONS)):
-            pairs = sorted(edge_weights[r].items())
-            src = np.array([ij[0] for ij, _ in pairs], dtype=np.int64)
-            dst = np.array([ij[1] for ij, _ in pairs], dtype=np.int64)
-            wt = np.array([w for _, w in pairs], dtype=np.float64)
+        # CSR neighbor arrays keyed by (party, target party)
+        self._adj: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        for r, (a, b) in enumerate(RELATIONS):
+            src, dst = np.asarray(edges[r][0], dtype=np.int64), np.asarray(edges[r][1], dtype=np.int64)
+            bad = np.flatnonzero((src < 0) | (src >= self.counts[a]) | (dst < 0) | (dst >= self.counts[b]))
+            if len(bad):
+                raise ValueError(f"edge ({r}, {src[bad[0]]}, {dst[bad[0]]}) outside party sizes {self.counts}")
+            n_b = max(self.counts[b], 1)
+            codes, inverse = np.unique(src * n_b + dst, return_inverse=True)
+            # bincount sums each pair's weights in input order from 0.0 (int64 if empty)
+            wt = np.bincount(inverse, weights=np.asarray(edges[r][2], dtype=np.float64),
+                             minlength=len(codes)).astype(np.float64, copy=False)
+            src, dst = np.divmod(codes, n_b)
             self.edge_src.append(src)
             self.edge_dst.append(dst)
             self.edge_wt.append(wt)
             self.total_weight.append(float(wt.sum()))
-        self._adj = self._build_adjacency()
-
-    # -- construction helpers -------------------------------------------------
-
-    def _build_adjacency(self):
-        """CSR-style neighbor arrays keyed by (party, target party)."""
-        adj: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for r, (a, b) in enumerate(RELATIONS):
-            src, dst, wt = self.edge_src[r], self.edge_dst[r], self.edge_wt[r]
-            adj[(a, b)] = _csr(src, dst, wt, self.counts[a])
-            adj[(b, a)] = _csr(dst, src, wt, self.counts[b])
-        return adj
+            self._adj[(a, b)] = _csr(src, dst, wt, self.counts[a])
+            self._adj[(b, a)] = _csr(dst, src, wt, self.counts[b])
 
     # -- queries ---------------------------------------------------------------
 
@@ -204,17 +200,7 @@ class TripartiteGraph:
         return 0 <= node.party < N_PARTIES and 0 <= node.index < self.counts[node.party]
 
     def nodes(self) -> Iterable[Node]:
-        for p in range(N_PARTIES):
-            for i in range(self.counts[p]):
-                yield Node(p, i)
-
-    def edges(self, relation: int) -> Iterable[Edge]:
-        a, b = RELATIONS[relation]
-        for i, j, w in zip(self.edge_src[relation], self.edge_dst[relation], self.edge_wt[relation]):
-            yield Edge(Node(a, int(i)), Node(b, int(j)), float(w))
-
-    def has_edge(self, relation: int, i: int, j: int) -> bool:
-        return (i, j) in self._edge_weights[relation]
+        return (Node(p, i) for p in range(N_PARTIES) for i in range(self.counts[p]))
 
     def neighbor_arrays(self, party: int, index: int, target: int) -> tuple[np.ndarray, np.ndarray]:
         """Index and weight arrays of ``target``-party neighbors (may be empty)."""
@@ -243,20 +229,23 @@ class TripartiteGraph:
         The node universe (counts and labels) is preserved even if nodes
         become isolated, so embedding matrices keep their shape.
         """
-        removed = set(pairs)
-        new_weights = []
-        for r in range(len(RELATIONS)):
-            if r == relation:
-                kept = {ij: w for ij, w in self._edge_weights[r].items() if ij not in removed}
-                new_weights.append(kept)
-            else:
-                new_weights.append(dict(self._edge_weights[r]))
-        return TripartiteGraph(self.schema, self.labels, tuple(new_weights))
+        n_b = max(self.counts[RELATIONS[relation][1]], 1)
+        removed = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+        removed = removed[(removed[:, 1] >= 0) & (removed[:, 1] < n_b)]
+        edges = [(self.edge_src[r], self.edge_dst[r], self.edge_wt[r]) for r in range(len(RELATIONS))]
+        src, dst, wt = edges[relation]
+        keep = ~np.isin(src * n_b + dst, removed[:, 0] * n_b + removed[:, 1])
+        edges[relation] = (src[keep], dst[keep], wt[keep])
+        return TripartiteGraph(self.schema, self.labels, tuple(edges))
 
     # -- validation ----------------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Structural checks: symmetry, positive weights, consistent totals."""
+        """Structural checks: symmetry, positive weights, consistent totals.
+
+        Vectorised, O(E log E): the symmetry check sorts the reverse CSR view
+        into forward order and reports the first (i, j, w) row that differs.
+        """
         report = ValidationReport()
         for r, (a, b) in enumerate(RELATIONS):
             wt = self.edge_wt[r]
@@ -273,28 +262,32 @@ class TripartiteGraph:
                     f"!= recomputed {total}"
                 )
             # Symmetric view: forward and reverse adjacency must agree.
-            fwd = self._adj[(a, b)]
-            rev = self._adj[(b, a)]
-            for i in range(self.counts[a]):
-                lo, hi = fwd[0][i], fwd[0][i + 1]
-                for j, w in zip(fwd[1][lo:hi], fwd[2][lo:hi]):
-                    rlo, rhi = rev[0][j], rev[0][j + 1]
-                    pos = np.searchsorted(rev[1][rlo:rhi], i)
-                    if pos >= rhi - rlo or rev[1][rlo + pos] != i or rev[2][rlo + pos] != w:
-                        report.violations.append(
-                            f"relation {RELATION_NAMES[r]}: asymmetric adjacency at "
-                            f"({self.labels[a][i]}, {self.labels[b][int(j)]})"
-                        )
+            fwd_i, fwd_j, fwd_w = _expand(self._adj[(a, b)])
+            rev_j, rev_i, rev_w = _expand(self._adj[(b, a)])
+            order = np.lexsort((rev_j, rev_i))
+            rev_i, rev_j, rev_w = rev_i[order], rev_j[order], rev_w[order]
+            n = min(len(fwd_i), len(rev_i))
+            differ = (fwd_i[:n] != rev_i[:n]) | (fwd_j[:n] != rev_j[:n]) | (fwd_w[:n] != rev_w[:n])
+            if differ.any() or len(fwd_i) != len(rev_i):
+                k = int(np.argmax(differ)) if differ.any() else n
+                i, j = (fwd_i[k], fwd_j[k]) if k < len(fwd_i) else (rev_i[k], rev_j[k])
+                report.violations.append(
+                    f"relation {RELATION_NAMES[r]}: asymmetric adjacency at "
+                    f"({self.labels[a][i]}, {self.labels[b][j]})"
+                )
         return report
 
 
 def _csr(src: np.ndarray, dst: np.ndarray, wt: np.ndarray, n_rows: int):
     order = np.lexsort((dst, src))
-    src, dst, wt = src[order], dst[order], wt[order]
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, dst, wt
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n_rows))])
+    return indptr, dst[order], wt[order]
+
+
+def _expand(csr) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A CSR adjacency as parallel (row, column, weight) arrays in storage order."""
+    indptr, idx, wt = csr
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), idx, wt
 
 
 class GraphBuilder:
@@ -308,7 +301,7 @@ class GraphBuilder:
         self.schema = schema
         self._labels: tuple[list[str], ...] = ([], [], [])
         self._index: dict[str, Node] = {}
-        self._weights: tuple[dict[tuple[int, int], float], ...] = ({}, {}, {})
+        self._edges: tuple[list[tuple[int, int, float]], ...] = ([], [], [])
 
     def _intern(self, label: str) -> Node:
         node = self._index.get(label)
@@ -336,10 +329,11 @@ class GraphBuilder:
         r = RELATION_OF_PAIR[(u.party, v.party)]
         a, _ = RELATIONS[r]
         i, j = (u.index, v.index) if u.party == a else (v.index, u.index)
-        self._weights[r][(i, j)] = self._weights[r].get((i, j), 0.0) + weight
+        self._edges[r].append((i, j, weight))
 
     def build(self) -> TripartiteGraph:
-        return TripartiteGraph(self.schema, tuple(list(ls) for ls in self._labels), self._weights)
+        return TripartiteGraph(self.schema, tuple(list(ls) for ls in self._labels),
+                               tuple(tuple(zip(*rows)) or ((), (), ()) for rows in self._edges))
 
 
 def load_edge_list(path, schema: Schema = DEFAULT_SCHEMA) -> TripartiteGraph:
@@ -382,19 +376,23 @@ def load_edge_list(path, schema: Schema = DEFAULT_SCHEMA) -> TripartiteGraph:
     return builder.build()
 
 
+def index_labels(counts: tuple[int, int, int], schema: Schema = DEFAULT_SCHEMA) -> tuple[list[str], ...]:
+    """Labels made of the type character and the per-party index, e.g. ``u0``."""
+    return tuple([f"{schema.type_chars[p]}{i}" for i in range(counts[p])] for p in range(N_PARTIES))
+
+
 def build_from_pairs(counts: tuple[int, int, int],
                      edges: Iterable[tuple[int, int, int, float]],
                      schema: Schema = DEFAULT_SCHEMA) -> TripartiteGraph:
     """Construct a graph from index-level edges ``(relation, i, j, weight)``.
 
-    Labels are synthesized from the schema's type characters; mainly for
-    tests and synthetic benchmarks.
+    Labels come from :func:`index_labels`; mainly for tests and synthetic
+    benchmarks.
     """
-    labels = tuple([f"{schema.type_chars[p]}{i}" for i in range(counts[p])] for p in range(N_PARTIES))
-    weights: tuple[dict[tuple[int, int], float], ...] = ({}, {}, {})
-    for r, i, j, w in edges:
-        a, b = RELATIONS[r]
-        if not (0 <= i < counts[a] and 0 <= j < counts[b]):
-            raise ValueError(f"edge ({r}, {i}, {j}) outside party sizes {counts}")
-        weights[r][(i, j)] = weights[r].get((i, j), 0.0) + w
-    return TripartiteGraph(schema, labels, weights)
+    columns = list(zip(*edges)) or [(), (), (), ()]
+    rel, src, dst = (np.array(c, dtype=np.int64) for c in columns[:3])
+    wt = np.array(columns[3], dtype=np.float64)
+    if np.any((rel < 0) | (rel >= len(RELATIONS))):
+        raise ValueError(f"relation index outside 0..{len(RELATIONS) - 1}: {sorted(set(rel.tolist()))}")
+    return TripartiteGraph(schema, index_labels(counts, schema),
+                           tuple((src[rel == r], dst[rel == r], wt[rel == r]) for r in range(len(RELATIONS))))

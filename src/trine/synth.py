@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import (DEFAULT_SCHEMA, N_PARTIES, RELATIONS, Schema, TripartiteGraph,
-                    build_from_pairs)
+from .graph import DEFAULT_SCHEMA, N_PARTIES, RELATIONS, Schema, TripartiteGraph, index_labels
 
 _SYNTH_STREAM = 707
+
+# Cells of one row block of a relation's link probabilities and uniforms.
+_BLOCK_CELLS = 1 << 20
 
 # Activity ratio between heavy and casual users, and the heavy share.
 DEFAULT_ACTIVITY_SPREAD = 150.0
@@ -52,14 +54,19 @@ def planted_graph(counts: tuple[int, int, int], communities: int, p_in: float, p
     comm = [np.arange(counts[p]) % communities for p in range(N_PARTIES)]
     acts = [_user_activities(counts[0], activity_spread), np.ones(counts[1]), np.ones(counts[2])]
     edges = []
-    for r, (a, b) in enumerate(RELATIONS):
-        match = comm[a][:, None] == comm[b][None, :]
-        base = np.where(match, p_in, p_out)
-        prob = np.minimum(1.0, base * acts[a][:, None] * acts[b][None, :])
-        hit = rng.random(prob.shape) < prob
-        for i, j in zip(*np.nonzero(hit)):
-            edges.append((r, int(i), int(j), 1.0))
-    return build_from_pairs(counts, edges, schema)
+    for a, b in RELATIONS:
+        # Row blocks draw the uniforms in the same order as one n_a x n_b
+        # call, so the block size does not change the graph.
+        rows = max(1, _BLOCK_CELLS // max(counts[b], 1))
+        codes = [np.zeros(0, dtype=np.int64)]
+        for lo in range(0, counts[a], rows):
+            match = comm[a][lo:lo + rows, None] == comm[b][None, :]
+            base = np.where(match, p_in, p_out)
+            prob = np.minimum(1.0, base * acts[a][lo:lo + rows, None] * acts[b][None, :])
+            codes.append(lo * counts[b] + np.flatnonzero(rng.random(prob.shape) < prob))
+        src, dst = np.divmod(np.concatenate(codes), max(counts[b], 1))
+        edges.append((src, dst, np.ones(len(src))))
+    return TripartiteGraph(schema, index_labels(counts, schema), tuple(edges))
 
 
 def random_graph(counts: tuple[int, int, int], density: float, seed: int,
@@ -74,17 +81,15 @@ def write_edge_list(g: TripartiteGraph, path) -> None:
     Isolated nodes are emitted as single-label declaration lines so the
     node universe is preserved on reload.
     """
-    degree: dict[tuple[int, int], int] = {}
+    linked = [np.zeros(n, dtype=bool) for n in g.counts]
     for r, (a, b) in enumerate(RELATIONS):
-        for i, j in zip(g.edge_src[r], g.edge_dst[r]):
-            degree[(a, int(i))] = degree.get((a, int(i)), 0) + 1
-            degree[(b, int(j))] = degree.get((b, int(j)), 0) + 1
+        linked[a][g.edge_src[r]] = True
+        linked[b][g.edge_dst[r]] = True
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# tripartite edge list: {g.counts[0]} / {g.counts[1]} / {g.counts[2]} nodes\n")
         for p in range(N_PARTIES):
-            for i in range(g.counts[p]):
-                if (p, i) not in degree:
-                    fh.write(g.labels[p][i] + "\n")
-        for r in range(len(RELATIONS)):
-            for e in g.edges(r):
-                fh.write(f"{g.label_of(e.src)} {g.label_of(e.dst)} {e.weight:.9g}\n")
+            fh.writelines(g.labels[p][i] + "\n" for i in np.flatnonzero(~linked[p]))
+        for r, (a, b) in enumerate(RELATIONS):
+            la, lb = g.labels[a], g.labels[b]
+            fh.writelines(f"{la[i]} {lb[j]} {w:.9g}\n" for i, j, w in
+                          zip(g.edge_src[r].tolist(), g.edge_dst[r].tolist(), g.edge_wt[r].tolist()))

@@ -18,7 +18,7 @@ import numpy as np
 from .centrality import hits
 from .errors import ConfigError, EmbeddingFileError, NonFiniteError
 from .graph import N_PARTIES, RELATIONS, Edge, Metapath, Node, Schema, TripartiteGraph
-from .sampling import NegativeSampler
+from .sampling import DEFAULT_POWER, NegativeSampler
 from .walks import TypedCorpus, filter_by_type, generate_corpus, window_pairs
 
 log = logging.getLogger(__name__)
@@ -71,7 +71,7 @@ class TrainConfig:
     min_walks: int = 1
     max_walks: int = 32
     walk_scale: float | None = None
-    power: float = 0.75
+    power: float = DEFAULT_POWER
     epochs: int = 20
     tol: float = 1e-4
     seed: int = 1

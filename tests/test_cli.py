@@ -1,8 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from trine.cli import RunConfig, dump_config, main, parse_config, read_config_file
+from trine import centrality, evaluation
+from trine.cli import RunConfig, _train_config, dump_config, main, parse_config, read_config_file
 from trine.graph import load_edge_list
+from trine.trainer import TrainConfig
 
 
 def run_cli(*args):
@@ -71,6 +75,21 @@ class TestParseConfig:
     def test_metapath_repeatable_flag(self):
         _, cfg, _ = parse_config(["walks", "--metapath", "upu", "--metapath", "cpc"])
         assert cfg.metapath == ("upu", "cpc")
+
+
+class TestDefaults:
+    def test_train_defaults_are_train_configs(self):
+        assert _train_config(RunConfig()) == TrainConfig()
+
+    def test_hits_and_evaluate_defaults_match_their_functions(self):
+        cfg = RunConfig()
+        hits_defaults = inspect.signature(centrality.hits).parameters
+        assert cfg.max_iter == hits_defaults["max_iter"].default
+        assert cfg.hits_tol == hits_defaults["tol"].default
+        for fn in (evaluation.evaluate, evaluation.evaluate_end_to_end):
+            params = inspect.signature(fn).parameters
+            assert (cfg.folds, cfg.neg_ratio, cfg.l2) == tuple(
+                params[name].default for name in ("folds", "neg_ratio", "l2"))
 
 
 class TestSubcommands:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trine.errors import EdgeListError, SchemaError
-from trine.graph import (RELATIONS, GraphBuilder, Metapath, Node, Schema,
+from trine.graph import (RELATIONS, GraphBuilder, Metapath, Node, Schema, TripartiteGraph,
                          build_from_pairs, load_edge_list)
 
 from conftest import random_tripartite
@@ -203,3 +205,78 @@ class TestBuilder:
     def test_build_from_pairs_bounds_checked(self):
         with pytest.raises(ValueError, match="outside party sizes"):
             build_from_pairs((1, 1, 1), [(0, 0, 5, 1.0)])
+        with pytest.raises(ValueError, match="relation index"):
+            build_from_pairs((1, 1, 1), [(3, 0, 0, 1.0)])
+
+    def test_constructor_rejects_indices_outside_party_sizes(self):
+        # (0, 1) in a 1 x 1 relation would otherwise alias the pair code of (1, 0)
+        edges = ((np.array([0]), np.array([1]), np.array([1.0])), ((), (), ()), ((), (), ()))
+        with pytest.raises(ValueError, match=r"edge \(0, 0, 1\) outside party sizes"):
+            TripartiteGraph(Schema(), (["u0"], ["p0"], []), edges)
+
+
+# (relation, i, j, reversed orientation, weight); weights such as 0.1 + 0.2
+# are not associative in floating point, so summation order shows.
+_edge_draws = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.booleans(),
+              st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, 2.5])),
+    max_size=40,
+)
+
+
+def _summed_oracle(index_edges):
+    """Per relation: sorted (i, j) -> weight, weights added in input order."""
+    oracle = ({}, {}, {})
+    for r, i, j, w in index_edges:
+        oracle[r][(i, j)] = oracle[r].get((i, j), 0.0) + w
+    return tuple(sorted(d.items()) for d in oracle)
+
+
+def _assert_matches(g, oracle):
+    for r in range(len(RELATIONS)):
+        assert g.edge_src[r].dtype == g.edge_dst[r].dtype == np.int64
+        assert g.edge_src[r].tolist() == [i for (i, _), _ in oracle[r]]
+        assert g.edge_dst[r].tolist() == [j for (_, j), _ in oracle[r]]
+        assert g.edge_wt[r].tolist() == [w for _, w in oracle[r]]
+
+
+class TestCanonicalEdges:
+    @given(_edge_draws)
+    @settings(max_examples=200, deadline=None)
+    def test_builder_sums_in_input_order(self, draws):
+        b = GraphBuilder()
+        labelled = []
+        for r, i, j, flip, w in draws:
+            a, c = RELATIONS[r]
+            u, v = f"{'upc'[a]}{i}", f"{'upc'[c]}{j}"
+            b.add_edge(*((v, u) if flip else (u, v)), w)
+            labelled.append((r, u, v, w))
+        g = b.build()
+        index_edges = [(r, g.node_of(u).index, g.node_of(v).index, w) for r, u, v, w in labelled]
+        _assert_matches(g, _summed_oracle(index_edges))
+        assert g.validate().ok
+
+    @given(_edge_draws)
+    @settings(max_examples=200, deadline=None)
+    def test_build_from_pairs_sums_in_input_order(self, draws):
+        index_edges = [(r, i, j, w) for r, i, j, _, w in draws]
+        g = build_from_pairs((4, 4, 4), index_edges)
+        _assert_matches(g, _summed_oracle(index_edges))
+
+    @given(_edge_draws, st.integers(0, 2), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_without_edges_removes_exactly_the_pairs(self, draws, relation, data):
+        g = build_from_pairs((4, 4, 4), [(r, i, j, w) for r, i, j, _, w in draws])
+        present = list(zip(g.edge_src[relation].tolist(), g.edge_dst[relation].tolist()))
+        removed = data.draw(st.lists(st.sampled_from(present), unique=True) if present else st.just([]))
+        removed += data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=3))
+        g2 = g.without_edges(relation, removed)
+        assert g2.counts == g.counts and g2.labels == g.labels
+        gone = set(removed)
+        for r in range(len(RELATIONS)):
+            keep = np.array([r != relation or (i, j) not in gone
+                             for i, j in zip(g.edge_src[r].tolist(), g.edge_dst[r].tolist())], dtype=bool)
+            assert np.array_equal(g2.edge_src[r], g.edge_src[r][keep])
+            assert np.array_equal(g2.edge_dst[r], g.edge_dst[r][keep])
+            assert g2.edge_wt[r].tobytes() == g.edge_wt[r][keep].tobytes()
+        assert g2.validate().ok

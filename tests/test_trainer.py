@@ -405,7 +405,8 @@ class TestPersistence:
         save_embeddings(store, path)
         # a graph listing u1 before u0 must see permuted rows
         b = build_from_pairs((2, 1, 0), [(0, 0, 0, 1.0)])
-        shuffled = type(g)(g.schema, (["u1", "u0"], ["p0"], []), b._edge_weights)
+        edges = tuple(zip(b.edge_src, b.edge_dst, b.edge_wt))
+        shuffled = type(g)(g.schema, (["u1", "u0"], ["p0"], []), edges)
         loaded = load_embeddings(path, DEFAULT_SCHEMA)
         permuted = loaded.reindexed_to(shuffled)
         assert np.array_equal(permuted.emb[0][0], loaded.emb[0][1])
