@@ -88,9 +88,7 @@ class NegativeSampler:
             codes = np.unique(np.concatenate([center * n + context, np.arange(n) * (n + 1)]))
             rows, cols = np.divmod(codes, max(n, 1))
             starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-            # as in the per-node definition, the center's probability counts
-            # once for rejecting it and once more if it is in its own bucket
-            excluded = np.bincount(rows, weights=probs[cols], minlength=n) + probs * own
+            excluded = np.bincount(rows, weights=probs[cols], minlength=n)
             tables.append(_PartyTable(probs, _pinned(cum), starts, cols, own,
                                       np.maximum(1.0 - excluded, 0.0)))
         return cls(tables, power, window)
