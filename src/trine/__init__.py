@@ -1,7 +1,7 @@
 """Tripartite heterogeneous network embedding and link-prediction toolkit."""
 
 from .centrality import CentralityScores, hits, walk_budget
-from .errors import (ConfigError, EdgeListError, EmbeddingFileError, EvalError,
+from .errors import (ConfigError, EdgeListError, EmbeddingFileError, EmptyGraphError, EvalError,
                      NonFiniteError, SamplerError, SchemaError, TrineError)
 from .evaluation import (EvalReport, LinkDataset, auc_pr, auc_roc, evaluate,
                          evaluate_end_to_end, f1_score, kfold_split, make_link_dataset,

@@ -31,6 +31,10 @@ class SamplerError(TrineError):
     """Negative sampling cannot produce a valid sample."""
 
 
+class EmptyGraphError(TrineError, ValueError):
+    """A graph has no nodes or no edges to train on."""
+
+
 class NonFiniteError(TrineError):
     """A parameter update produced NaN or Inf."""
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,18 +117,28 @@ def train_classifier(X: np.ndarray, y: np.ndarray, l2: float = DEFAULT_L2,
 
     The step size is the inverse Lipschitz constant of the regularized loss,
     so the fit is deterministic and monotone. The intercept is not penalized.
+    Raises :class:`EvalError` when the features are non-finite or so large
+    that the step size underflows; logs a warning when ``max_iter`` is
+    reached above ``tol``.
     """
     classes = np.unique(y)
     if len(classes) < 2:
         raise EvalError("classifier training set contains a single class")
     n, d = X.shape
     Xb = np.hstack([X, np.ones((n, 1))])
+    norm = float(np.linalg.norm(Xb, 2)) if np.isfinite(Xb).all() else math.inf
     # Lipschitz bound of the mean logistic loss gradient plus the L2 term.
-    lip = float(np.linalg.norm(Xb, 2)) ** 2 / (4.0 * n) + l2
+    lip = norm * norm / (4.0 * n) + l2
+    if not math.isfinite(lip):
+        raise EvalError(
+            f"link features are non-finite or too large to fit (spectral norm {norm:.3g}); "
+            "the embeddings diverged in training, retrain with a lower --lr"
+        )
     step = 1.0 / lip
     w = np.zeros(d + 1)
     mask = np.ones(d + 1)
     mask[-1] = 0.0  # no penalty on the intercept
+    gnorm = math.inf
     for _ in range(max_iter):
         p = 0.5 * (1.0 + np.tanh(0.5 * (Xb @ w)))
         grad = Xb.T @ (p - y) / n + l2 * mask * w
@@ -135,6 +146,9 @@ def train_classifier(X: np.ndarray, y: np.ndarray, l2: float = DEFAULT_L2,
         if gnorm <= tol:
             break
         w -= step * grad
+    else:
+        log.warning("classifier stopped at max_iter=%d with gradient norm %.3g above tol %.3g",
+                    max_iter, gnorm, tol)
     return LogisticModel(w[:-1].copy(), float(w[-1]))
 
 

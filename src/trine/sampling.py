@@ -18,6 +18,9 @@ DEFAULT_POWER = 0.75
 # Attempt budget per requested sample before declaring the party degenerate.
 _MAX_ATTEMPTS_PER_SAMPLE = 100
 
+# Admissible mass at or below which a centre has no negatives.
+_EMPTY_MASS = 1e-12
+
 
 class _PartyTable(NamedTuple):
     """One party's proposal table and exclusion rows; see :class:`NegativeSampler`."""
@@ -26,6 +29,7 @@ class _PartyTable(NamedTuple):
     cumulative: np.ndarray
     starts: np.ndarray
     cols: np.ndarray
+    codes: np.ndarray
     self_in_bucket: np.ndarray
     mass: np.ndarray
 
@@ -40,7 +44,10 @@ class NegativeSampler:
 
     Buckets are stored per party as one sorted CSR: row ``c`` is
     ``cols[starts[c]:starts[c + 1]]``, the bucket of ``c`` together with
-    ``c`` itself, so that a draw is rejected by one membership test. Whether
+    ``c`` itself, so that a draw is rejected by one membership test. The
+    same rows are also kept as one sorted array of codes ``c * n + z``
+    (``n`` the party size), so that the draws of many centres are tested
+    with one search. Whether
     ``c`` belongs to its own bucket (it co-occurs with itself in a window) is
     kept apart in ``self_in_bucket``. Each node's admissible mass is computed
     once, at build time. The tables' last cumulative entry is pinned to 1.0,
@@ -53,7 +60,7 @@ class NegativeSampler:
 
     def __init__(self, tables: list[_PartyTable], power: float, window: int):
         self._tables = tables
-        self._restricted_cache: dict[Node, np.ndarray] = {}
+        self._restricted: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(tables)
         self.power = power
         self.window = window
 
@@ -89,7 +96,7 @@ class NegativeSampler:
             rows, cols = np.divmod(codes, max(n, 1))
             starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
             excluded = np.bincount(rows, weights=probs[cols], minlength=n)
-            tables.append(_PartyTable(probs, _pinned(cum), starts, cols, own,
+            tables.append(_PartyTable(probs, _pinned(cum), starts, cols, codes, own,
                                       np.maximum(1.0 - excluded, 0.0)))
         return cls(tables, power, window)
 
@@ -119,17 +126,33 @@ class NegativeSampler:
         the corpus; callers use this to skip negative sampling instead of
         tripping the degenerate-party error.
         """
-        return self.available_mass(center) > 1e-12
+        return self.available_mass(center) > _EMPTY_MASS
 
-    def _restricted_cumulative(self, center: Node) -> np.ndarray:
-        cum = self._restricted_cache.get(center)
-        if cum is None:
-            probs = self._tables[center.party].probs.copy()
-            probs[self._row(center)] = 0.0
-            probs /= probs.sum()
-            cum = _pinned(np.cumsum(probs))
-            self._restricted_cache[center] = cum
-        return cum
+    def has_negatives_many(self, party: int, centers: np.ndarray) -> np.ndarray:
+        """:meth:`has_negatives` of each of the party's ``centers``, as a boolean array."""
+        return self._tables[party].mass[centers] > _EMPTY_MASS
+
+    def _restricted_tables(self, party: int) -> tuple[np.ndarray, np.ndarray]:
+        """The party's restricted cumulative tables, and each node's row among them.
+
+        Built on first use, for every centre whose admissible mass is
+        positive but below ``_REJECTION_MIN_MASS``: row ``slot[c]`` is the
+        party table with ``c``'s exclusion row zeroed, renormalized and
+        pinned. Other nodes have slot -1.
+        """
+        if self._restricted[party] is None:
+            t = self._tables[party]
+            centers = np.flatnonzero((t.mass > _EMPTY_MASS) & (t.mass < self._REJECTION_MIN_MASS))
+            tables = np.empty((len(centers), len(t.probs)))
+            for k, c in enumerate(centers.tolist()):
+                probs = t.probs.copy()
+                probs[self._row(Node(party, c))] = 0.0
+                probs /= probs.sum()
+                tables[k] = _pinned(np.cumsum(probs))
+            slot = np.full(len(t.probs), -1)
+            slot[centers] = np.arange(len(centers))
+            self._restricted[party] = (tables, slot)
+        return self._restricted[party]
 
     def sample(self, center: Node, ns: int, rng: np.random.Generator) -> list[int]:
         """Draw ``ns`` negatives (with replacement) for ``center``.
@@ -146,14 +169,11 @@ class NegativeSampler:
         if ns == 0:
             return []
         mass = self.available_mass(center)
-        if mass <= 1e-12:
-            raise SamplerError(
-                f"no negatives available for {center}: its exclusion bucket covers "
-                "every node with probability mass (degenerate party)"
-            )
+        if mass <= _EMPTY_MASS:
+            raise _no_negatives(center)
         if mass < self._REJECTION_MIN_MASS:
-            return self._restricted_cumulative(center).searchsorted(
-                rng.random(ns), side="right").tolist()
+            tables, slot = self._restricted_tables(center.party)
+            return tables[slot[center.index]].searchsorted(rng.random(ns), side="right").tolist()
         cum = self._tables[center.party].cumulative
         row = self._row(center)
         out: list[int] = []
@@ -161,15 +181,94 @@ class NegativeSampler:
         budget = _MAX_ATTEMPTS_PER_SAMPLE * ns
         while len(out) < ns:
             if attempts >= budget:
-                raise SamplerError(
-                    f"could not draw {ns} negatives for {center} after {attempts} attempts; "
-                    "the party is degenerate (all probability mass excluded)"
-                )
+                raise _out_of_attempts(center, ns, attempts)
             k = min(ns - len(out), budget - attempts)
             attempts += k
             zs = cum.searchsorted(rng.random(k), side="right")
             out += zs[row.take(row.searchsorted(zs), mode="clip") != zs].tolist()
         return out
+
+    def sample_many(self, party: int, centers: np.ndarray, ns: int,
+                    rng: np.random.Generator) -> np.ndarray:
+        """Draw ``ns`` negatives for each of the party's ``centers``: row ``k`` serves ``centers[k]``.
+
+        Every row follows the law of :meth:`sample`, and a single centre
+        consumes the generator as :meth:`sample` does. Centres on the
+        restricted table draw first, ``ns`` uniforms each in centre order.
+        The others draw in rejection rounds: a round draws, for each centre in
+        order, as many uniforms as the centre still misses, tests all their
+        codes against the exclusion rows with one search, and keeps the
+        admissible draws in order; rejected draws are redrawn in the next
+        round. Raises :class:`SamplerError` for a centre without admissible
+        negatives, or after ``_MAX_ATTEMPTS_PER_SAMPLE * ns`` rounds.
+        """
+        centers = np.asarray(centers, dtype=np.int64)
+        out = np.empty((len(centers), ns), dtype=np.int64)
+        if ns == 0 or len(centers) == 0:
+            return out
+        t = self._tables[party]
+        mass = t.mass[centers]
+        if (mass <= _EMPTY_MASS).any():
+            raise _no_negatives(Node(party, int(centers[np.argmax(mass <= _EMPTY_MASS)])))
+        restricted = mass < self._REJECTION_MIN_MASS
+
+        if restricted.any():
+            tables, slot = self._restricted_tables(party)
+            rows = np.flatnonzero(restricted)
+            out[rows] = _search_rows(tables, slot[centers[rows]], rng.random((len(rows), ns)))
+
+        rows = np.flatnonzero(~restricted)
+        codes = centers[rows] * len(t.probs)  # each centre's code offset
+        drawn = np.empty((len(rows), ns), dtype=np.int64)
+        filled = np.zeros(len(rows), dtype=np.int64)
+        active = np.arange(len(rows))
+        for _ in range(_MAX_ATTEMPTS_PER_SAMPLE * ns):
+            if not len(active):
+                break
+            owner = np.repeat(active, ns - filled[active])
+            zs = t.cumulative.searchsorted(rng.random(len(owner)), side="right")
+            code = codes[owner] + zs
+            kept = t.codes.take(t.codes.searchsorted(code), mode="clip") != code
+            owner, zs = owner[kept], zs[kept]
+            # owner is sorted: a kept draw's rank among its centre's kept draws
+            drawn[owner, filled[owner] + np.arange(len(owner)) - owner.searchsorted(owner)] = zs
+            filled += np.bincount(owner, minlength=len(rows))
+            active = active[filled[active] < ns]
+        if len(active):
+            raise _out_of_attempts(Node(party, int(centers[rows[active[0]]])), ns,
+                                   _MAX_ATTEMPTS_PER_SAMPLE * ns)
+        out[rows] = drawn
+        return out
+
+
+def _search_rows(tables: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``tables[rows[k]].searchsorted(u[k], side="right")`` for every ``k``, by one joint bisection."""
+    n = tables.shape[1]
+    flat = tables.ravel()
+    base = (rows * n)[:, None]
+    lo = np.zeros(u.shape, dtype=np.int64)
+    hi = np.full(u.shape, n)
+    # the interval [lo, hi] holding the answer at least halves each step
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) >> 1
+        right = (lo < hi) & (flat[base + np.minimum(mid, n - 1)] <= u)
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+    return lo
+
+
+def _no_negatives(center: Node) -> SamplerError:
+    return SamplerError(
+        f"no negatives available for {center}: its exclusion bucket covers "
+        "every node with probability mass (degenerate party)"
+    )
+
+
+def _out_of_attempts(center: Node, ns: int, attempts: int) -> SamplerError:
+    return SamplerError(
+        f"could not draw {ns} negatives for {center} after {attempts} attempts; "
+        "the party is degenerate (all probability mass excluded)"
+    )
 
 
 def _pinned(cum: np.ndarray) -> np.ndarray:

@@ -3,7 +3,17 @@
 Three implicit skip-gram terms (one per party, trained with negative
 sampling over same-type walk co-occurrences) plus three explicit terms
 (weighted first-order reconstruction of each relation's observed edges)
-are ascended jointly by plain SGD, driven per edge.
+are ascended jointly by minibatch SGD over the edges.
+
+Each epoch permutes the edge list and walks it in batches of
+``_BATCH_EDGES`` edges. A batch draws its randomness (an occurrence of each
+endpoint, that occurrence's window partners, their negatives), takes every
+explicit and implicit gradient at the batch-start state, and adds them,
+summed per row. The per-term gradients are those of the scalar
+:func:`explicit_update` and :func:`implicit_update`, and the negatives
+follow :meth:`NegativeSampler.sample`'s law; only the interleaving of
+updates differs from one-at-a-time SGD. The permutation keeps the rows of
+a batch apart: in edge-list order a batch would repeat one user's row.
 """
 
 from __future__ import annotations
@@ -11,12 +21,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .centrality import hits
-from .errors import ConfigError, EmbeddingFileError, NonFiniteError
+from .errors import ConfigError, EmbeddingFileError, EmptyGraphError, NonFiniteError
 from .graph import N_PARTIES, RELATIONS, Edge, Metapath, Node, Schema, TripartiteGraph
 from .sampling import DEFAULT_POWER, NegativeSampler
 from .walks import TypedCorpus, filter_by_type, generate_corpus, window_pairs
@@ -31,6 +41,13 @@ _LOSS_STREAM = 404
 # Cap on implicit context pairs evaluated per party when reporting the loss;
 # the draw is derived from the seed alone, so it is fixed across epochs.
 _LOSS_EVAL_MAX_PAIRS = 5_000
+
+# Loss-draw rows gathered at once, which bounds the loss's scratch memory.
+_LOSS_CHUNK = 4_096
+
+# Edges per minibatch. Larger batches take more stale gradients per row: at
+# 1024 edges a 30-node party's rows get hundreds per batch and diverge.
+_BATCH_EDGES = 64
 
 
 def sigmoid(x: float) -> float:
@@ -161,21 +178,40 @@ class LossReport:
 
 
 def init_embeddings(g: TripartiteGraph, cfg: TrainConfig, rng: np.random.Generator) -> EmbeddingStore:
-    """Uniform initialization of all six matrices in [-0.5/d, 0.5/d]."""
+    """Uniform initialization of all six matrices in [-0.5/d, 0.5/d].
+
+    The node embeddings of all parties are one (nodes, dim) array, party by
+    party, and so are the context vectors; the store holds per-party views.
+    """
+    return _store_of(*_init_flat(g, cfg, rng), g)
+
+
+def _init_flat(g: TripartiteGraph, cfg: TrainConfig,
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     cfg.validate()
     half = 0.5 / cfg.dim
-    emb = [rng.uniform(-half, half, size=(g.counts[p], cfg.dim)) for p in range(N_PARTIES)]
-    ctx = [rng.uniform(-half, half, size=(g.counts[p], cfg.dim)) for p in range(N_PARTIES)]
-    return EmbeddingStore(emb, ctx, g.labels)
+    emb = rng.uniform(-half, half, size=(g.num_nodes, cfg.dim))
+    ctx = rng.uniform(-half, half, size=(g.num_nodes, cfg.dim))
+    return emb, ctx
+
+
+def _store_of(emb: np.ndarray, ctx: np.ndarray, g: TripartiteGraph) -> EmbeddingStore:
+    """A store of per-party views into flat (nodes, dim) matrices."""
+    cuts = np.cumsum(g.counts)[:-1]
+    return EmbeddingStore(np.split(emb, cuts), np.split(ctx, cuts), g.labels)
+
+
+def _non_finite() -> NonFiniteError:
+    return NonFiniteError(
+        "parameter update produced a non-finite value; lower the learning rate "
+        "or the explicit weights"
+    )
 
 
 def _check_finite(*rows: np.ndarray) -> None:
     for row in rows:
         if not np.isfinite(row).all():
-            raise NonFiniteError(
-                "parameter update produced a non-finite value; lower the learning rate "
-                "or the explicit weights"
-            )
+            raise _non_finite()
 
 
 def explicit_update(store: EmbeddingStore, e: Edge, cfg: TrainConfig, lr: float | None = None) -> None:
@@ -211,18 +247,11 @@ def implicit_update(store: EmbeddingStore, center: Node, context: Node,
         raise ValueError("implicit update requires center, context and negatives of one party")
     if any(z.index == context.index for z in negatives):
         raise ValueError("context node must not appear among the negatives")
-    _implicit_update_idx(store, party, center.index, context.index,
-                         [z.index for z in negatives], alpha, cfg, lr)
-
-
-def _implicit_update_idx(store: EmbeddingStore, party: int, center: int, context: int,
-                         negatives: list[int], alpha: float, cfg: TrainConfig,
-                         lr: float | None = None) -> None:
     if alpha == 0.0:
         return
     eta = cfg.lr if lr is None else lr
-    v = store.emb[party][center]
-    zs = np.array([context] + negatives, dtype=np.int64)
+    v = store.emb[party][center.index]
+    zs = np.array([context.index] + [z.index for z in negatives], dtype=np.int64)
     indicator = np.zeros(len(zs))
     indicator[0] = 1.0
     ctx_mat = store.ctx[party]
@@ -233,6 +262,91 @@ def _implicit_update_idx(store: EmbeddingStore, party: int, center: int, context
     np.add.at(ctx_mat, zs, coef[:, None] * v)
     v += dv
     _check_finite(v, ctx_mat[zs])
+
+
+def _scatter_add(mat: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """``mat[rows] += vals`` with a repeated row getting the sum of its values; returns the rows hit."""
+    hit, inverse = np.unique(rows, return_inverse=True)
+    dim = mat.shape[1]
+    cells = (inverse[:, None] * dim + np.arange(dim)).ravel()
+    mat[hit] += np.bincount(cells, weights=vals.ravel(), minlength=len(hit) * dim).reshape(-1, dim)
+    return hit
+
+
+def _minibatch_step(emb: np.ndarray, ctx: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                    edge_step: np.ndarray, centers: np.ndarray, contexts: np.ndarray,
+                    pair_step: np.ndarray) -> None:
+    """One minibatch of explicit and implicit updates on flat (nodes, dim) matrices.
+
+    Edge ``k`` joins rows ``src[k]`` and ``dst[k]`` of ``emb`` at step
+    ``edge_step[k]`` (lr times the edge's explicit coefficient), as
+    :func:`explicit_update` does. Implicit pair ``k`` joins centre row
+    ``centers[k]`` of ``emb`` with the rows ``contexts[k]`` of ``ctx``, the
+    window partner first and then the negatives, at steps ``pair_step[k]``
+    (lr times alpha), as :func:`implicit_update` does; an entry at step 0
+    changes nothing. All gradients are taken at the batch-start state and
+    summed per row. Raises :class:`NonFiniteError` if a touched row becomes
+    non-finite.
+    """
+    u, v = emb[src], emb[dst]
+    g = (edge_step * (1.0 - _sigmoid_vec(np.einsum("ij,ij->i", u, v))))[:, None]
+    e, c = emb[centers], ctx[contexts]
+    indicator = np.zeros(contexts.shape[1])
+    indicator[0] = 1.0
+    coef = pair_step * (indicator - _sigmoid_vec((c @ e[:, :, None])[:, :, 0]))
+    hit_emb = _scatter_add(emb, np.concatenate([src, dst, centers]),
+                           np.concatenate([g * v, g * u, (coef[:, None, :] @ c)[:, 0]]))
+    hit_ctx = _scatter_add(ctx, contexts.ravel(),
+                           (coef[:, :, None] * e[:, None, :]).reshape(-1, e.shape[1]))
+    if not (np.isfinite(emb[hit_emb]).all() and np.isfinite(ctx[hit_ctx]).all()):
+        raise _non_finite()
+
+
+class _Occurrences(NamedTuple):
+    """One party's corpus as the engine draws from it.
+
+    ``nodes`` is the flat corpus, ``lo`` / ``hi`` each occurrence's window,
+    ``order`` all flat positions grouped by node (corpus order within a
+    node), and node ``i``'s group is ``order[start[i]:start[i + 1]]``.
+    """
+
+    nodes: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    order: np.ndarray
+    start: np.ndarray
+
+    @classmethod
+    def of(cls, typed: TypedCorpus, party: int, n: int, window: int) -> "_Occurrences":
+        lo, hi = typed.windows(party, window)
+        order = np.argsort(typed.nodes[party], kind="stable").astype(np.int32)
+        start = np.concatenate([[0], np.cumsum(typed.occurrence_counts(party, n))])
+        return cls(typed.nodes[party], lo.astype(np.int32), hi.astype(np.int32), order, start)
+
+
+def _implicit_pairs(occ: _Occurrences, party: int, centers: np.ndarray, step: np.ndarray,
+                      sampler: NegativeSampler, ns: int, rng: np.random.Generator):
+    """One batch's implicit pairs for endpoints ``centers`` of one party, each at ``step``.
+
+    Each centre that occurs in the corpus draws one occurrence uniformly,
+    and each partner in that occurrence's window makes a pair. Returns the
+    pairs' centres, their context rows (the partner, then ``ns`` drawn
+    negatives) and the entries' steps. A centre without admissible negatives
+    gets only the positive: its negative columns repeat the partner at step 0.
+    """
+    first = occ.start[centers]
+    count = occ.start[centers + 1] - first
+    seen = count > 0
+    centers, step = centers[seen], step[seen]
+    at = occ.order[first[seen] + rng.integers(count[seen])]
+    pick, partners = window_pairs(occ.lo[at], occ.hi[at], at=at)
+    centers = centers[pick]
+    has = sampler.has_negatives_many(party, centers)
+    contexts = np.repeat(occ.nodes[partners][:, None], 1 + ns, axis=1)
+    contexts[has, 1:] = sampler.sample_many(party, centers[has], ns, rng)
+    steps = np.repeat(step[pick][:, None], 1 + ns, axis=1)
+    steps[~has, 1:] = 0.0
+    return centers, contexts, steps
 
 
 def _explicit_loss(store: EmbeddingStore, g: TripartiteGraph) -> tuple[float, float, float]:
@@ -283,11 +397,15 @@ def _loss_on_sample(store: EmbeddingStore, g: TripartiteGraph, sample: _LossSamp
     explicit = _explicit_loss(store, g)
     implicit = []
     for p, (centers, zs, offsets) in enumerate(sample):
+        # row k's first entry is its window partner, the rest its negatives
+        owner = np.repeat(centers, np.diff(offsets))
+        sign = np.full(len(zs), -1.0)
+        sign[offsets[:-1]] = 1.0
         nll = 0.0
-        for k, center in enumerate(centers):
-            dots = store.ctx[p][zs[offsets[k]:offsets[k + 1]]] @ store.emb[p][center]
-            nll -= float(_log_sigmoid(dots[0]))
-            nll -= float(_log_sigmoid(-dots[1:]).sum())
+        for lo in range(0, len(zs), _LOSS_CHUNK):
+            hi = lo + _LOSS_CHUNK
+            dots = np.einsum("ij,ij->i", store.emb[p][owner[lo:hi]], store.ctx[p][zs[lo:hi]])
+            nll -= float(_log_sigmoid(sign[lo:hi] * dots).sum())
         implicit.append(nll)
     total = -(sum(a * o for a, o in zip(cfg.alpha, implicit))
               + sum(b * o for b, o in zip(cfg.beta, explicit)))
@@ -309,36 +427,39 @@ def compute_loss(store: EmbeddingStore, g: TripartiteGraph, typed: TypedCorpus,
 
 def train(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
           on_epoch: Callable[[int, LossReport], None] | None = None) -> EmbeddingStore:
-    """Full training loop: walks, then per-epoch edge-driven joint updates.
+    """Full training loop: walks, then per-epoch minibatch joint updates.
 
-    Per epoch, every edge of every relation triggers one explicit update and,
-    for each endpoint, implicit updates over the window of one drawn
-    occurrence of that endpoint in its party's corpus. Stops early when the
-    relative change of the monitored objective drops below ``cfg.tol``. If an
-    update diverges, the last finite epoch checkpoint is returned.
+    Each epoch permutes the edges of all relations and takes them
+    ``_BATCH_EDGES`` at a time. Every edge of a batch gives one explicit
+    term. Each endpoint whose party has alpha > 0 and that occurs in its
+    party's corpus draws one occurrence, and every partner in that
+    occurrence's window gives one implicit term with ``cfg.negatives`` drawn
+    negatives (none when the endpoint has no admissible negatives). A batch's
+    gradients are all taken at the batch-start state and summed per row.
+    With ``cfg.lr_decay`` the step decays linearly per edge, counted in
+    permuted order. Stops early when the relative change of the monitored
+    objective drops below ``cfg.tol``. If an update diverges, the last finite
+    epoch checkpoint is returned.
 
     ``on_epoch`` is invoked with (epoch, LossReport) after the initial loss
     evaluation (epoch 0) and after every training epoch.
     """
     cfg.validate()
     if g.num_nodes == 0:
-        raise ValueError("cannot train on an empty graph")
-    if all(len(w) == 0 for w in g.edge_wt):
-        raise ValueError("cannot train on a graph with no edges")
+        raise EmptyGraphError("cannot train on an empty graph")
+    if g.num_edges == 0:
+        raise EmptyGraphError("cannot train on a graph with no edges")
 
     scores = hits(g)
     corpus = generate_corpus(g, metapaths, scores, cfg.min_walks, cfg.max_walks,
                              cfg.walk_scale, cfg.walk_length, cfg.seed)
     typed = filter_by_type(corpus)
+    del corpus  # training reads only the typed corpus
     sampler = NegativeSampler.build(typed, g, cfg.power, cfg.window)
-    # per party: every occurrence's window; all flat positions grouped by node
-    # (corpus order within a node), and where each node's group starts
-    windows = [typed.windows(p, cfg.window) for p in range(N_PARTIES)]
-    occ_order = [np.argsort(typed.nodes[p], kind="stable") for p in range(N_PARTIES)]
-    occ_start = [np.concatenate([[0], np.cumsum(typed.occurrence_counts(p, g.counts[p]))])
-                 for p in range(N_PARTIES)]
+    occurrences = [_Occurrences.of(typed, p, g.counts[p], cfg.window) for p in range(N_PARTIES)]
 
-    store = init_embeddings(g, cfg, np.random.default_rng([cfg.seed, _INIT_STREAM]))
+    emb, ctx = _init_flat(g, cfg, np.random.default_rng([cfg.seed, _INIT_STREAM]))
+    store = _store_of(emb, ctx, g)
     rng = np.random.default_rng([cfg.seed, _TRAIN_STREAM])
 
     loss_sample = _loss_sample(typed, sampler, cfg)
@@ -346,47 +467,55 @@ def train(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
     if on_epoch is not None:
         on_epoch(0, prev)
 
-    total_steps = max(1, cfg.epochs * g.num_edges)
+    # every edge of every relation: its endpoints' parties, indices and rows
+    # of the flat matrices, and its explicit coefficient
+    relation = np.repeat(np.arange(len(RELATIONS)), [len(w) for w in g.edge_wt])
+    party = np.array(RELATIONS)[relation]
+    index = np.stack([np.concatenate(g.edge_src), np.concatenate(g.edge_dst)], axis=1)
+    first_row = np.concatenate([[0], np.cumsum(g.counts)])
+    row = index + first_row[party]
+    coef = cfg.gamma * np.asarray(cfg.beta)[relation] * np.concatenate(g.edge_wt)
+    no_pairs = (np.zeros(0, dtype=np.int64), np.zeros((0, 1 + cfg.negatives), dtype=np.int64),
+                np.zeros((0, 1 + cfg.negatives)))
+
+    total_steps = max(1, cfg.epochs * len(coef))
     step = 0
-    checkpoint = store.copy()
+    checkpoint = (emb.copy(), ctx.copy())
     for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(len(coef))
         try:
-            for r in range(len(RELATIONS)):
-                a, b = RELATIONS[r]
-                for i, j, w in zip(g.edge_src[r], g.edge_dst[r], g.edge_wt[r]):
-                    if cfg.lr_decay:
-                        lr = cfg.lr * max(0.01, 1.0 - step / total_steps)
-                    else:
-                        lr = cfg.lr
-                    step += 1
-                    edge = Edge(Node(a, int(i)), Node(b, int(j)), float(w))
-                    explicit_update(store, edge, cfg, lr)
-                    for party, index in ((a, int(i)), (b, int(j))):
-                        if cfg.alpha[party] == 0.0:
-                            continue
-                        first, end = occ_start[party][index:index + 2].tolist()
-                        if first == end:
-                            continue
-                        k = occ_order[party][first + int(rng.integers(end - first))]
-                        lo, hi = windows[party][0][k], windows[party][1][k]
-                        nodes = typed.nodes[party]
-                        node = Node(party, index)
-                        can_sample = sampler.has_negatives(node)
-                        for partner in nodes[lo:k].tolist() + nodes[k + 1:hi].tolist():
-                            negs = sampler.sample(node, cfg.negatives, rng) if can_sample else []
-                            _implicit_update_idx(store, party, index, partner, negs,
-                                                 cfg.alpha[party], cfg, lr)
+            for begin in range(0, len(order), _BATCH_EDGES):
+                batch = order[begin:begin + _BATCH_EDGES]
+                lr = np.full(len(batch), cfg.lr)
+                if cfg.lr_decay:
+                    lr *= np.maximum(0.01, 1.0 - (step + np.arange(len(batch))) / total_steps)
+                step += len(batch)
+                # the batch's endpoints, edge by edge, with their edge's lr
+                end_party, end_index = party[batch].ravel(), index[batch].ravel()
+                end_lr = np.repeat(lr, 2)
+                pairs = [no_pairs]
+                for p in range(N_PARTIES):
+                    if cfg.alpha[p] == 0.0:
+                        continue
+                    ends = end_party == p
+                    centers, contexts, pair_step = _implicit_pairs(
+                        occurrences[p], p, end_index[ends], cfg.alpha[p] * end_lr[ends],
+                        sampler, cfg.negatives, rng)
+                    pairs.append((centers + first_row[p], contexts + first_row[p], pair_step))
+                _minibatch_step(emb, ctx, row[batch, 0], row[batch, 1], lr * coef[batch],
+                                *map(np.concatenate, zip(*pairs)))
         except NonFiniteError as exc:
             log.error("training diverged in epoch %d (%s); returning last finite checkpoint", epoch, exc)
-            return checkpoint
+            return _store_of(*checkpoint, g)
         loss = _loss_on_sample(store, g, loss_sample, cfg)
         if on_epoch is not None:
             on_epoch(epoch, loss)
         if not loss.finite:
             log.error("objective became non-finite in epoch %d; returning last finite checkpoint", epoch)
-            return checkpoint
+            return _store_of(*checkpoint, g)
         rel_change = abs(loss.total - prev.total) / max(abs(prev.total), 1e-12)
-        checkpoint = store.copy()
+        np.copyto(checkpoint[0], emb)
+        np.copyto(checkpoint[1], ctx)
         prev = loss
         if rel_change < cfg.tol:
             log.info("converged after epoch %d (relative change %.3g)", epoch, rel_change)

@@ -75,13 +75,16 @@ class TypedCorpus:
         return lo, hi
 
 
-def window_pairs(lo: np.ndarray, hi: np.ndarray,
-                 ranks: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def window_pairs(lo: np.ndarray, hi: np.ndarray, ranks: np.ndarray | None = None,
+                 at: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Flat positions (center, context) of ordered window pairs.
 
     Pairs are ranked in (sequence, i, j) scan order: by the center's flat
     position, then by the context's. ``ranks`` selects pairs by rank; by
-    default every pair is returned.
+    default every pair is returned. By default window ``k`` is the window of
+    flat position ``k``; ``at`` passes windows of chosen occurrences instead,
+    ``at[k]`` being window ``k``'s own position, and ``center`` then indexes
+    the windows.
     """
     span = hi - lo - 1
     ends = np.cumsum(span)
@@ -91,7 +94,7 @@ def window_pairs(lo: np.ndarray, hi: np.ndarray,
     else:
         center = np.searchsorted(ends, ranks, side="right")
     context = lo[center] + ranks - (ends[center] - span[center])
-    context += context >= center
+    context += context >= (center if at is None else at[center])
     return center, context
 
 

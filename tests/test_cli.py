@@ -177,6 +177,19 @@ class TestSubcommands:
         assert keys["folds"] == "3"
         assert 0.0 <= float(keys["mean_auc_roc"]) <= 1.0
 
+    def test_evaluate_diverged_embeddings_is_clean_error(self, synth_edges, tmp_path, capsys):
+        # embeddings near 1e81, as a diverged training leaves them: the link
+        # features overflow the classifier's step size
+        g = load_edge_list(synth_edges)
+        emb = tmp_path / "emb.txt"
+        rows = [f"{lab} " + " ".join(["1e81"] * 3) for labels in g.labels for lab in labels]
+        emb.write_text(f"{len(rows)} 3\n" + "\n".join(rows) + "\n")
+        code = run_cli("evaluate", "--edges", str(synth_edges), "--embeddings", str(emb),
+                       "--relation", "13", "--folds", "2", "--quiet")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "lower --lr" in err
+
     def test_e2e_deterministic_report(self, synth_edges, tmp_path):
         reports = []
         for name in ("r1.txt", "r2.txt"):

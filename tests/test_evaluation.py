@@ -159,6 +159,32 @@ class TestClassifier:
         with pytest.raises(EvalError, match="single class"):
             train_classifier(np.ones((3, 2)), np.ones(3))
 
+    def test_overflowing_features_rejected(self):
+        # Hadamard features of diverged embeddings: finite, but their squared
+        # spectral norm overflows
+        X = np.random.default_rng(0).uniform(0.5, 1.5, size=(20, 4)) * 1e160
+        y = np.array([0.0, 1.0] * 10)
+        with pytest.raises(EvalError, match="lower --lr"):
+            train_classifier(X, y)
+        X[0, 0] = np.inf
+        with pytest.raises(EvalError, match="non-finite"):
+            train_classifier(X, y)
+
+    def test_max_iter_without_convergence_warns(self, caplog):
+        X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
+        y = np.array([0.0, 0.0, 1.0, 1.0])
+        with caplog.at_level("WARNING", logger="trine.evaluation"):
+            train_classifier(X, y, max_iter=3)
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "max_iter=3" in warnings[0] and "gradient norm" in warnings[0]
+
+    def test_converged_fit_does_not_warn(self, caplog):
+        X = np.array([[2.0], [0.5]])
+        with caplog.at_level("WARNING", logger="trine.evaluation"):
+            train_classifier(X, np.array([1.0, 0.0]), l2=0.1)
+        assert not caplog.records
+
 
 class TestAucRoc:
     def test_perfect_separation(self):

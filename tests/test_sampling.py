@@ -209,3 +209,63 @@ class TestSampleNegatives:
         a = sampler.sample(Node(0, 0), 20, np.random.default_rng(11))
         b = sampler.sample(Node(0, 0), 20, np.random.default_rng(11))
         assert a == b
+
+
+class TestSampleMany:
+    """The bulk draw against the single-centre sampler and the renormalized table."""
+
+    def _sampler(self):
+        # node 0 co-occurs with the five heavy nodes 1-5, so its admissible mass
+        # is small (restricted table); nodes 6-9 exclude little (rejection)
+        seqs = [[0, 1, 2, 3, 4, 5]] + [[k] for k in range(1, 6)] * 12 + [[6], [7, 8], [9]]
+        g = build_from_pairs((10, 1, 0), [(0, i, 0, 1.0) for i in range(10)])
+        sampler = NegativeSampler.build(typed_corpus(seqs_u=seqs), g, window=5)
+        mass = [sampler.available_mass(Node(0, c)) for c in range(10)]
+        restricted = [c for c in range(10) if 0 < mass[c] < NegativeSampler._REJECTION_MIN_MASS]
+        rejection = [c for c in range(10) if mass[c] >= NegativeSampler._REJECTION_MIN_MASS]
+        assert 0 in restricted and len(rejection) >= 4
+        return sampler, restricted, rejection
+
+    def test_one_centre_matches_sample_and_stream(self):
+        sampler, restricted, rejection = self._sampler()
+        for c in restricted + rejection:
+            for seed in range(10):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                expected = sampler.sample(Node(0, c), 7, ref_rng)
+                assert sampler.sample_many(0, np.array([c]), 7, rng)[0].tolist() == expected
+                assert rng.random() == ref_rng.random()
+
+    def test_zero_negatives_and_no_centres(self):
+        sampler, _, _ = self._sampler()
+        rng = np.random.default_rng(0)
+        assert sampler.sample_many(0, np.array([0, 6]), 0, rng).shape == (2, 0)
+        assert sampler.sample_many(0, np.array([], dtype=np.int64), 3, rng).shape == (0, 3)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_centre_without_negatives_raises(self):
+        g = build_from_pairs((2, 1, 0), [(0, i, 0, 1.0) for i in range(2)])
+        sampler = NegativeSampler.build(typed_corpus(seqs_u=[[0, 1]]), g, window=1)
+        assert not sampler.has_negatives_many(0, np.array([0, 1])).any()
+        with pytest.raises(SamplerError, match="degenerate"):
+            sampler.sample_many(0, np.array([0]), 2, np.random.default_rng(0))
+
+    def test_many_centres_follow_renormalized_tables(self):
+        sampler, restricted, rejection = self._sampler()
+        probs = sampler.table_probabilities(0)
+        rng = np.random.default_rng(5)
+        centers = np.array(restricted + rejection)
+        # interleaved centres, so that restricted and rejection rows mix in each call
+        batch = np.tile(centers, 40)
+        flat = np.concatenate([sampler.sample_many(0, batch, 4, rng).ravel() for _ in range(100)])
+        owners = np.repeat(np.tile(batch, 100), 4)
+        assert len(flat) >= 100_000
+        for c in centers:
+            mine = flat[owners == c]
+            excluded = sorted(sampler.exclusion_bucket(Node(0, c)) | {c})
+            expected = probs.copy()
+            expected[excluded] = 0.0
+            expected /= expected.sum()
+            freq = np.bincount(mine, minlength=10) / len(mine)
+            assert not np.isin(mine, excluded).any()
+            sigma = np.sqrt(expected * (1 - expected) / len(mine))
+            assert np.all(np.abs(freq - expected) <= 4 * sigma + 1e-12), c

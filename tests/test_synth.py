@@ -1,3 +1,4 @@
+import os
 import resource
 import subprocess
 import sys
@@ -32,8 +33,11 @@ class TestPlantedGraph:
             assert np.array_equal(rowwise.edge_wt[r], whole.edge_wt[r])
 
     def test_paper_node_counts_in_bounded_memory(self):
+        # the child imports trine from wherever this process does
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", _PAPER_COUNTS_BUILD], capture_output=True,
-                             text=True, timeout=300, check=True, preexec_fn=_limit_address_space)
+                             text=True, timeout=300, check=True, preexec_fn=_limit_address_space,
+                             env=env)
         n_edges, peak_kb = map(int, out.stdout.split())
         assert n_edges > 0
         assert peak_kb < 600 * 1024

@@ -7,8 +7,9 @@ from trine.errors import ConfigError, EmbeddingFileError, NonFiniteError
 from trine.graph import DEFAULT_SCHEMA, Edge, Node, build_from_pairs
 from trine.sampling import NegativeSampler
 from trine.synth import planted_graph
-from trine.trainer import (EmbeddingStore, TrainConfig, _INIT_STREAM, compute_loss,
-                           default_metapaths,
+from trine import trainer
+from trine.trainer import (EmbeddingStore, TrainConfig, _INIT_STREAM, _minibatch_step, _store_of,
+                           compute_loss, default_metapaths,
                            explicit_update, implicit_update, init_embeddings,
                            load_embeddings, save_embeddings, sigmoid, train)
 from trine.walks import TypedCorpus, window_pairs
@@ -234,6 +235,118 @@ class TestImplicitUpdate:
                     assert np.all(np.isfinite(m))
 
 
+def flat_store(counts, dim, rng, scale=0.5):
+    """Flat (nodes, dim) matrices, a store of per-party views into them, and each party's first row."""
+    g = build_from_pairs(counts, [])
+    emb = rng.normal(0, scale, size=(sum(counts), dim))
+    ctx = rng.normal(0, scale, size=(sum(counts), dim))
+    return emb, ctx, _store_of(emb, ctx, g), np.concatenate([[0], np.cumsum(counts)])
+
+
+def run_batch(emb, ctx, edges=(), pairs=(), negatives=2):
+    """Apply one minibatch of ``edges`` (src row, dst row, step) and ``pairs``
+    (centre row, context rows, step)."""
+    width = 1 + negatives
+    src = np.array([s for s, _, _ in edges], dtype=np.int64)
+    dst = np.array([d for _, d, _ in edges], dtype=np.int64)
+    edge_step = np.array([step for _, _, step in edges], dtype=float)
+    centers = np.array([c for c, _, _ in pairs], dtype=np.int64)
+    contexts = np.array([z for _, z, _ in pairs], dtype=np.int64).reshape(-1, width)
+    pair_step = np.array([[s] * width for _, _, s in pairs], dtype=float).reshape(-1, width)
+    _minibatch_step(emb, ctx, src, dst, edge_step, centers, contexts, pair_step)
+
+
+def assert_stores_close(a, b, atol=1e-12):
+    for p in range(3):
+        assert np.allclose(a.emb[p], b.emb[p], rtol=0, atol=atol)
+        assert np.allclose(a.ctx[p], b.ctx[p], rtol=0, atol=atol)
+
+
+class TestMinibatchStep:
+    """The minibatch kernel against the scalar updates it batches."""
+
+    cfg = TrainConfig(dim=6, lr=0.07, gamma=1.3, beta=(0.5, 1.0, 2.0), alpha=(1.2, 0.8, 1.0))
+
+    def test_one_edge_alone_matches_explicit_update(self):
+        rng = np.random.default_rng(31)
+        for r, (a, b) in enumerate([(0, 1), (1, 2), (0, 2)]):
+            emb, ctx, store, first = flat_store((4, 3, 5), 6, rng)
+            reference = store.copy()
+            w = float(rng.uniform(0.5, 3.0))
+            explicit_update(reference, Edge(Node(a, 2), Node(b, 1), w), self.cfg)
+            step = self.cfg.lr * self.cfg.gamma * self.cfg.beta[r] * w
+            run_batch(emb, ctx, edges=[(first[a] + 2, first[b] + 1, step)])
+            assert_stores_close(store, reference)
+
+    def test_one_pair_alone_matches_implicit_update(self):
+        rng = np.random.default_rng(32)
+        for p in range(3):
+            emb, ctx, store, first = flat_store((6, 5, 7), 6, rng)
+            reference = store.copy()
+            # a repeated negative accumulates, as in the scalar update
+            implicit_update(reference, Node(p, 0), Node(p, 1), [Node(p, 3), Node(p, 3)],
+                            self.cfg.alpha[p], self.cfg)
+            run_batch(emb, ctx, pairs=[(first[p], [first[p] + 1, first[p] + 3, first[p] + 3],
+                                        self.cfg.lr * self.cfg.alpha[p])])
+            assert_stores_close(store, reference)
+
+    def test_distinct_rows_match_scalar_updates_in_order(self):
+        rng = np.random.default_rng(33)
+        emb, ctx, store, first = flat_store((8, 8, 8), 6, rng)
+        reference = store.copy()
+        edges, pairs = [], []
+        for r, (a, b, i, j) in enumerate([(0, 1, 0, 0), (1, 2, 1, 1), (0, 2, 2, 2)]):
+            explicit_update(reference, Edge(Node(a, i), Node(b, j), 1.5), self.cfg)
+            step = self.cfg.lr * self.cfg.gamma * self.cfg.beta[r] * 1.5
+            edges.append((first[a] + i, first[b] + j, step))
+        for p in range(3):
+            # centres and contexts touch no row used above or by another pair
+            implicit_update(reference, Node(p, 4), Node(p, 5), [Node(p, 6), Node(p, 7)],
+                            self.cfg.alpha[p], self.cfg)
+            pairs.append((first[p] + 4, [first[p] + 5, first[p] + 6, first[p] + 7],
+                          self.cfg.lr * self.cfg.alpha[p]))
+        run_batch(emb, ctx, edges, pairs)
+        assert_stores_close(store, reference)
+
+    def test_row_hit_twice_gets_both_batch_start_gradients(self):
+        rng = np.random.default_rng(34)
+        emb, ctx, store, first = flat_store((3, 3, 3), 6, rng)
+        start = store.copy()
+        expected = store.copy()
+        steps = []
+        # user 0 is in both edges, and is also the centre of a pair
+        for j, w in ((0, 1.0), (2, 2.5)):
+            single = start.copy()
+            explicit_update(single, Edge(Node(0, 0), Node(1, j), w), self.cfg)
+            for p in range(3):
+                expected.emb[p] += single.emb[p] - start.emb[p]
+            step = self.cfg.lr * self.cfg.gamma * self.cfg.beta[0] * w
+            steps.append((first[0], first[1] + j, step))
+        single = start.copy()
+        implicit_update(single, Node(0, 0), Node(0, 1), [Node(0, 2), Node(0, 2)],
+                        self.cfg.alpha[0], self.cfg)
+        for p in range(3):
+            expected.emb[p] += single.emb[p] - start.emb[p]
+            expected.ctx[p] += single.ctx[p] - start.ctx[p]
+        run_batch(emb, ctx, steps, [(first[0], [first[0] + 1, first[0] + 2, first[0] + 2],
+                                     self.cfg.lr * self.cfg.alpha[0])])
+        assert_stores_close(store, expected)
+
+    def test_zero_step_entries_change_nothing(self):
+        rng = np.random.default_rng(35)
+        emb, ctx, store, first = flat_store((4, 4, 4), 6, rng)
+        before = store.copy()
+        run_batch(emb, ctx, [(first[0], first[1], 0.0)], [(first[2], [first[2] + 1] * 3, 0.0)])
+        assert_stores_close(store, before, atol=0)
+
+    def test_non_finite_row_raises(self):
+        rng = np.random.default_rng(36)
+        emb, ctx, store, first = flat_store((2, 2, 2), 6, rng)
+        emb[first[1]] = np.inf
+        with pytest.raises(NonFiniteError):
+            run_batch(emb, ctx, [(first[0], first[1], 0.1)])
+
+
 class TestPairHelpers:
     def test_pair_counts_match_enumeration(self):
         for n in range(1, 12):
@@ -350,6 +463,21 @@ class TestTrain:
         for p in range(3):
             assert np.all(np.isfinite(store.emb[p]))
             assert np.all(np.isfinite(store.ctx[p]))
+
+    @pytest.mark.parametrize("batch_edges", [1, 10_000])
+    def test_batch_size_extremes_finite_and_repeatable(self, monkeypatch, batch_edges):
+        # one edge per batch, and one batch holding every edge
+        g = self._planted()
+        assert g.num_edges < 10_000
+        monkeypatch.setattr(trainer, "_BATCH_EDGES", batch_edges)
+        cfg = TrainConfig(dim=6, epochs=3, seed=9, max_walks=2, walk_length=8, lr_decay=True)
+        runs = [train(g, default_metapaths(), cfg) for _ in range(2)]
+        initial = init_embeddings(g, cfg, np.random.default_rng([cfg.seed, _INIT_STREAM]))
+        for p in range(3):
+            assert np.all(np.isfinite(runs[0].emb[p])) and np.all(np.isfinite(runs[0].ctx[p]))
+            assert np.array_equal(runs[0].emb[p], runs[1].emb[p])
+            assert np.array_equal(runs[0].ctx[p], runs[1].ctx[p])
+        assert not np.array_equal(runs[0].emb[0], initial.emb[0])
 
     def test_config_validation(self):
         for bad in [dict(dim=0), dict(lr=0.0), dict(min_walks=5, max_walks=2),
