@@ -69,6 +69,19 @@ class TestContextPairs:
                          dtype=np.int64)
         assert scan_pairs(seqs, window, ranks) == [expected[r] for r in ranks]
 
+    @given(sequences, st.integers(1, 6), st.lists(st.integers(0, 10**6), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_windows_of_chosen_occurrences(self, seqs, window, raw_at):
+        # each chosen occurrence's partners, in scan order, indexed by the choice
+        typed = typed_corpus(seqs_u=seqs)
+        n = len(typed.nodes[0])
+        at = np.array([a % n for a in raw_at] if n else [], dtype=np.int64)
+        lo, hi = typed.windows(0, window)
+        pick, partner = window_pairs(lo[at], hi[at], at=at)
+        expected = [(k, j) for k, a in enumerate(at.tolist())
+                    for j in range(lo[a], hi[a]) if j != a]
+        assert list(zip(pick.tolist(), partner.tolist())) == expected
+
     @given(st.lists(st.integers(0, 9), min_size=2, max_size=10),
            st.integers(1, 10), st.integers(0, 9))
     @settings(max_examples=200, deadline=None)
