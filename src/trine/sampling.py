@@ -28,7 +28,6 @@ class _PartyTable(NamedTuple):
     probs: np.ndarray
     cumulative: np.ndarray
     starts: np.ndarray
-    cols: np.ndarray
     codes: np.ndarray
     self_in_bucket: np.ndarray
     mass: np.ndarray
@@ -42,12 +41,11 @@ class NegativeSampler:
     with it inside the window anywhere in the typed corpus. Draws reject the
     center itself and its bucket.
 
-    Buckets are stored per party as one sorted CSR: row ``c`` is
-    ``cols[starts[c]:starts[c + 1]]``, the bucket of ``c`` together with
-    ``c`` itself, so that a draw is rejected by one membership test. The
-    same rows are also kept as one sorted array of codes ``c * n + z``
-    (``n`` the party size), so that the draws of many centres are tested
-    with one search. Whether
+    Buckets are stored per party as one sorted array of codes ``c * n + z``
+    (``n`` the party size) in CSR form: row ``c`` is
+    ``codes[starts[c]:starts[c + 1]]``, the bucket of ``c`` together with
+    ``c`` itself, so that a draw ``z`` is rejected by one membership test of
+    its code, and the draws of many centres by one search. Whether
     ``c`` belongs to its own bucket (it co-occurs with itself in a window) is
     kept apart in ``self_in_bucket``. Each node's admissible mass is computed
     once, at build time. The tables' last cumulative entry is pinned to 1.0,
@@ -96,7 +94,7 @@ class NegativeSampler:
             rows, cols = np.divmod(codes, max(n, 1))
             starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
             excluded = np.bincount(rows, weights=probs[cols], minlength=n)
-            tables.append(_PartyTable(probs, _pinned(cum), starts, cols, codes, own,
+            tables.append(_PartyTable(probs, _pinned(cum), starts, codes, own,
                                       np.maximum(1.0 - excluded, 0.0)))
         return cls(tables, power, window)
 
@@ -104,10 +102,14 @@ class NegativeSampler:
         """The proposal distribution for one party (sums to 1)."""
         return self._tables[party].probs.copy()
 
+    def _codes(self, node: Node) -> np.ndarray:
+        """The codes of the node's exclusion row, sorted."""
+        t = self._tables[node.party]
+        return t.codes[t.starts[node.index]:t.starts[node.index + 1]]
+
     def _row(self, node: Node) -> np.ndarray:
         """The node's bucket plus the node itself, sorted."""
-        t = self._tables[node.party]
-        return t.cols[t.starts[node.index]:t.starts[node.index + 1]]
+        return self._codes(node) - node.index * len(self._tables[node.party].probs)
 
     def exclusion_bucket(self, node: Node) -> frozenset[int]:
         bucket = frozenset(self._row(node).tolist())
@@ -175,7 +177,8 @@ class NegativeSampler:
             tables, slot = self._restricted_tables(center.party)
             return tables[slot[center.index]].searchsorted(rng.random(ns), side="right").tolist()
         cum = self._tables[center.party].cumulative
-        row = self._row(center)
+        row = self._codes(center)
+        offset = center.index * len(cum)
         out: list[int] = []
         attempts = 0
         budget = _MAX_ATTEMPTS_PER_SAMPLE * ns
@@ -185,7 +188,8 @@ class NegativeSampler:
             k = min(ns - len(out), budget - attempts)
             attempts += k
             zs = cum.searchsorted(rng.random(k), side="right")
-            out += zs[row.take(row.searchsorted(zs), mode="clip") != zs].tolist()
+            code = zs + offset
+            out += zs[row.take(row.searchsorted(code), mode="clip") != code].tolist()
         return out
 
     def sample_many(self, party: int, centers: np.ndarray, ns: int,
@@ -193,14 +197,15 @@ class NegativeSampler:
         """Draw ``ns`` negatives for each of the party's ``centers``: row ``k`` serves ``centers[k]``.
 
         Every row follows the law of :meth:`sample`, and a single centre
-        consumes the generator as :meth:`sample` does. Centres on the
-        restricted table draw first, ``ns`` uniforms each in centre order.
-        The others draw in rejection rounds: a round draws, for each centre in
-        order, as many uniforms as the centre still misses, tests all their
-        codes against the exclusion rows with one search, and keeps the
-        admissible draws in order; rejected draws are redrawn in the next
-        round. Raises :class:`SamplerError` for a centre without admissible
-        negatives, or after ``_MAX_ATTEMPTS_PER_SAMPLE * ns`` rounds.
+        consumes the generator as :meth:`sample` does, up to the same error.
+        Centres on the restricted table draw first, ``ns`` uniforms each in
+        centre order. The others draw in rejection rounds: a round draws, for
+        each centre in order, as many uniforms as the centre still misses,
+        tests all their codes against the exclusion rows with one search, and
+        keeps the admissible draws in order; rejected draws are redrawn in the
+        next round. Raises :class:`SamplerError` for a centre without
+        admissible negatives, or for a centre that has made
+        ``_MAX_ATTEMPTS_PER_SAMPLE * ns`` draws without filling its row.
         """
         centers = np.asarray(centers, dtype=np.int64)
         out = np.empty((len(centers), ns), dtype=np.int64)
@@ -215,17 +220,21 @@ class NegativeSampler:
         if restricted.any():
             tables, slot = self._restricted_tables(party)
             rows = np.flatnonzero(restricted)
-            out[rows] = _search_rows(tables, slot[centers[rows]], rng.random((len(rows), ns)))
+            u = rng.random((len(rows), ns))
+            for k, c in enumerate(centers[rows].tolist()):
+                out[rows[k]] = tables[slot[c]].searchsorted(u[k], side="right")
 
         rows = np.flatnonzero(~restricted)
         codes = centers[rows] * len(t.probs)  # each centre's code offset
         drawn = np.empty((len(rows), ns), dtype=np.int64)
         filled = np.zeros(len(rows), dtype=np.int64)
+        attempts = np.zeros(len(rows), dtype=np.int64)
+        budget = _MAX_ATTEMPTS_PER_SAMPLE * ns
         active = np.arange(len(rows))
-        for _ in range(_MAX_ATTEMPTS_PER_SAMPLE * ns):
-            if not len(active):
-                break
-            owner = np.repeat(active, ns - filled[active])
+        while len(active):
+            need = np.minimum(ns - filled[active], budget - attempts[active])
+            attempts[active] += need
+            owner = np.repeat(active, need)
             zs = t.cumulative.searchsorted(rng.random(len(owner)), side="right")
             code = codes[owner] + zs
             kept = t.codes.take(t.codes.searchsorted(code), mode="clip") != code
@@ -234,27 +243,11 @@ class NegativeSampler:
             drawn[owner, filled[owner] + np.arange(len(owner)) - owner.searchsorted(owner)] = zs
             filled += np.bincount(owner, minlength=len(rows))
             active = active[filled[active] < ns]
-        if len(active):
-            raise _out_of_attempts(Node(party, int(centers[rows[active[0]]])), ns,
-                                   _MAX_ATTEMPTS_PER_SAMPLE * ns)
+            spent = active[attempts[active] >= budget]
+            if len(spent):
+                raise _out_of_attempts(Node(party, int(centers[rows[spent[0]]])), ns, budget)
         out[rows] = drawn
         return out
-
-
-def _search_rows(tables: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``tables[rows[k]].searchsorted(u[k], side="right")`` for every ``k``, by one joint bisection."""
-    n = tables.shape[1]
-    flat = tables.ravel()
-    base = (rows * n)[:, None]
-    lo = np.zeros(u.shape, dtype=np.int64)
-    hi = np.full(u.shape, n)
-    # the interval [lo, hi] holding the answer at least halves each step
-    for _ in range(n.bit_length()):
-        mid = (lo + hi) >> 1
-        right = (lo < hi) & (flat[base + np.minimum(mid, n - 1)] <= u)
-        lo = np.where(right, mid + 1, lo)
-        hi = np.where(right, hi, mid)
-    return lo
 
 
 def _no_negatives(center: Node) -> SamplerError:

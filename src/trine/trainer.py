@@ -12,8 +12,10 @@ explicit and implicit gradient at the batch-start state, and adds them,
 summed per row. The per-term gradients are those of the scalar
 :func:`explicit_update` and :func:`implicit_update`, and the negatives
 follow :meth:`NegativeSampler.sample`'s law; only the interleaving of
-updates differs from one-at-a-time SGD. The permutation keeps the rows of
-a batch apart: in edge-list order a batch would repeat one user's row.
+updates differs from one-at-a-time SGD. The permutation spreads a batch
+over many rows (in edge-list order a batch would repeat one user's row),
+but a party with fewer nodes than a batch has endpoints still gets several
+summed gradients per row in every batch.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ _LOSS_EVAL_MAX_PAIRS = 5_000
 _LOSS_CHUNK = 4_096
 
 # Edges per minibatch. Larger batches take more stale gradients per row: at
-# 1024 edges a 30-node party's rows get hundreds per batch and diverge.
+# 1024 edges a 30-node party's rows get hundreds per batch and diverge, and a
+# single batch of ~3.8k edges ending at 3-node parties diverges too.
 _BATCH_EDGES = 64
 
 

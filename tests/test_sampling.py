@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trine.errors import SamplerError
+from trine import sampling
 from trine.graph import Node, build_from_pairs
 from trine.sampling import NegativeSampler
 from trine.walks import TypedCorpus, window_pairs
@@ -239,7 +240,7 @@ class TestSampleMany:
         assert 0 in restricted and len(rejection) >= 4
         return sampler, restricted, rejection
 
-    def test_one_centre_matches_sample_and_stream(self):
+    def test_one_centre_matches_sample_and_stream(self, monkeypatch):
         sampler, restricted, rejection = self._sampler()
         for c in restricted + rejection:
             for seed in range(10):
@@ -247,6 +248,24 @@ class TestSampleMany:
                 expected = sampler.sample(Node(0, c), 7, ref_rng)
                 assert sampler.sample_many(0, np.array([c]), 7, rng)[0].tolist() == expected
                 assert rng.random() == ref_rng.random()
+        # a budget of one draw per negative: both run out after the same draws
+        monkeypatch.setattr(sampling, "_MAX_ATTEMPTS_PER_SAMPLE", 1)
+        spent = 0
+        for c in rejection:
+            for seed in range(10):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                try:
+                    expected = sampler.sample(Node(0, c), 7, ref_rng)
+                except SamplerError as exc:
+                    spent += 1
+                    with pytest.raises(SamplerError) as caught:
+                        sampler.sample_many(0, np.array([c]), 7, rng)
+                    assert str(caught.value) == str(exc)
+                    assert "after 7 attempts" in str(exc)
+                else:
+                    assert sampler.sample_many(0, np.array([c]), 7, rng)[0].tolist() == expected
+                assert rng.random() == ref_rng.random()
+        assert spent > 0
 
     def test_zero_negatives_and_no_centres(self):
         sampler, _, _ = self._sampler()

@@ -479,6 +479,19 @@ class TestTrain:
             assert np.array_equal(runs[0].ctx[p], runs[1].ctx[p])
         assert not np.array_equal(runs[0].emb[0], initial.emb[0])
 
+    def test_tiny_parties_with_many_edges_stay_bounded(self):
+        # every edge ends at one of three tags or three categories, so a batch
+        # adds dozens of batch-start gradients to each of their rows (a single
+        # batch of all ~3.8k edges diverges on this graph)
+        g = planted_graph((1000, 3, 3), 3, 0.9, 0.5, seed=1, activity_spread=1.0)
+        assert g.num_edges > 3_000
+        cfg = TrainConfig(dim=32, epochs=6, max_walks=3, walk_length=16, tol=1e-9, seed=1)
+        losses = []
+        store = train(g, default_metapaths(), cfg, on_epoch=lambda e, r: losses.append(r.total))
+        assert len(losses) == cfg.epochs + 1
+        assert all(b > a for a, b in zip(losses, losses[1:])), losses
+        assert max(np.abs(m).max() for m in store.emb + store.ctx) < 10.0
+
     def test_config_validation(self):
         for bad in [dict(dim=0), dict(lr=0.0), dict(min_walks=5, max_walks=2),
                     dict(tol=0.0), dict(tol=1.5), dict(negatives=-1),
