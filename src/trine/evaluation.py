@@ -21,6 +21,11 @@ DEFAULT_FOLDS = 5
 DEFAULT_NEG_RATIO = 1.0
 DEFAULT_L2 = 1e-4
 
+# Newton step halving: a trial objective within this relative rounding margin
+# of the current one counts as no rise, and halving stops below this step.
+_RISE_RTOL = 64 * np.finfo(np.float64).eps
+_MIN_STEP = 2.0 ** -40
+
 
 @dataclass
 class LinkDataset:
@@ -98,7 +103,7 @@ def kfold_split(labels: np.ndarray, folds: int, rng: np.random.Generator) -> np.
 
 
 class LogisticModel:
-    """L2-regularized logistic regression fit by full-batch gradient descent."""
+    """L2-regularized logistic regression fit by damped Newton (IRLS) steps."""
 
     def __init__(self, weights: np.ndarray, intercept: float):
         self.weights = weights
@@ -112,44 +117,72 @@ class LogisticModel:
 
 
 def train_classifier(X: np.ndarray, y: np.ndarray, l2: float = DEFAULT_L2,
-                     tol: float = 1e-8, max_iter: int = 10_000) -> LogisticModel:
-    """Fit logistic regression by gradient descent to a gradient-norm tolerance.
+                     tol: float = 1e-8, max_iter: int = 100) -> LogisticModel:
+    """Fit logistic regression by damped Newton (IRLS) steps to a gradient-norm tolerance.
 
-    The step size is the inverse Lipschitz constant of the regularized loss,
-    so the fit is deterministic and monotone. The intercept is not penalized.
-    Raises :class:`EvalError` when the features are non-finite or so large
-    that the step size underflows; logs a warning when ``max_iter`` is
-    reached above ``tol``.
+    Minimizes the mean logistic loss plus ``l2 / 2 * |w|^2``; the intercept
+    is not penalized. Each step solves the (d+1) x (d+1) Newton system and is
+    halved until the objective does not rise, which keeps near-separable data
+    from overshooting. Raises :class:`EvalError` when the features are
+    non-finite or so large that their Gram matrix overflows; logs a warning
+    when ``max_iter`` is reached above ``tol``.
     """
     classes = np.unique(y)
     if len(classes) < 2:
         raise EvalError("classifier training set contains a single class")
+    if not np.isfinite(X).all():
+        raise EvalError("link features are non-finite; the embeddings diverged in training, "
+                        "retrain with a lower --lr")
     n, d = X.shape
     Xb = np.hstack([X, np.ones((n, 1))])
-    norm = float(np.linalg.norm(Xb, 2)) if np.isfinite(Xb).all() else math.inf
-    # Lipschitz bound of the mean logistic loss gradient plus the L2 term.
-    lip = norm * norm / (4.0 * n) + l2
-    if not math.isfinite(lip):
-        raise EvalError(
-            f"link features are non-finite or too large to fit (spectral norm {norm:.3g}); "
-            "the embeddings diverged in training, retrain with a lower --lr"
-        )
-    step = 1.0 / lip
+    # The gradient and Hessian sum products bounded by the Gram diagonal, so a
+    # finite Gram matrix keeps them finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = Xb.T @ Xb
+    if not np.isfinite(gram).all():
+        raise EvalError("link features are too large to fit (their Gram matrix overflows); "
+                        "the embeddings diverged in training, retrain with a lower --lr")
+    penalty = np.full(d + 1, l2)
+    penalty[-1] = 0.0  # no penalty on the intercept
+    # Per-row loss is softplus(sign * z): log(1 + e^-z) for positives, log(1 + e^z)
+    # for negatives, without the cancellation of softplus(z) - y * z.
+    sign = 1.0 - 2.0 * y
+
+    def objective(w: np.ndarray, z: np.ndarray) -> float:
+        return float(np.mean(np.logaddexp(0.0, sign * z))) + 0.5 * float(penalty @ (w * w))
+
     w = np.zeros(d + 1)
-    mask = np.ones(d + 1)
-    mask[-1] = 0.0  # no penalty on the intercept
+    z = np.zeros(n)
+    f = objective(w, z)
     gnorm = math.inf
     for _ in range(max_iter):
-        p = 0.5 * (1.0 + np.tanh(0.5 * (Xb @ w)))
-        grad = Xb.T @ (p - y) / n + l2 * mask * w
+        p = 0.5 * (1.0 + np.tanh(0.5 * z))
+        grad = Xb.T @ (p - y) / n + penalty * w
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol:
             break
-        w -= step * grad
+        hess = (Xb.T * (p * (1.0 - p))) @ Xb / n
+        hess[np.diag_indices_from(hess)] += penalty
+        # lstsq, not solve: all-equal columns leave the system singular.
+        step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        t = 1.0
+        while True:
+            w_new = w - t * step
+            z_new = Xb @ w_new
+            f_new = objective(w_new, z_new)
+            if f_new <= f * (1.0 + _RISE_RTOL) or t < _MIN_STEP:
+                break
+            t *= 0.5
+        w, z, f = w_new, z_new, f_new
     else:
         log.warning("classifier stopped at max_iter=%d with gradient norm %.3g above tol %.3g",
                     max_iter, gnorm, tol)
     return LogisticModel(w[:-1].copy(), float(w[-1]))
+
+
+def _tie_ends(sorted_scores: np.ndarray) -> np.ndarray:
+    """Index of the last element of each run of equal values in a sorted array."""
+    return np.flatnonzero(np.append(sorted_scores[1:] != sorted_scores[:-1], True))
 
 
 def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -161,15 +194,10 @@ def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
     if n_pos == 0 or n_neg == 0:
         raise EvalError("AUC-ROC undefined: both classes must be present")
     order = np.argsort(scores, kind="stable")
+    ends = _tie_ends(scores[order])
+    starts = np.r_[0, ends[:-1] + 1]
     ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0  # 1-based mid-rank
-        i = j + 1
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)  # 1-based mid-ranks
     rank_sum = float(ranks[labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -182,25 +210,13 @@ def auc_pr(scores: np.ndarray, labels: np.ndarray) -> float:
     if n_pos == 0 or n_pos == len(labels):
         raise EvalError("AUC-PR undefined: both classes must be present")
     order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    area = 0.0
-    tp = fp = 0
-    prev_recall = 0.0
-    i = 0
-    n = len(scores)
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        tp += int((sorted_labels[i:j + 1] == 1).sum())
-        fp += (j - i + 1) - int((sorted_labels[i:j + 1] == 1).sum())
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return area
+    ends = _tie_ends(scores[order])  # one threshold per group of tied scores
+    tp = np.cumsum(labels[order] == 1)[ends]
+    recall = tp / n_pos
+    precision = tp / (ends + 1)
+    # cumsum adds the steps in threshold order, as a running total does;
+    # np.sum would pair them up and move the last bits of the area.
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 def f1_score(scores: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> float:

@@ -27,6 +27,49 @@ def auc_pair_counting_oracle(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
+def auc_roc_tie_loop(scores, labels):
+    """The per-group loop auc_roc used before it was vectorised: mid-ranks by scan."""
+    n_pos = int((labels == 1).sum())
+    n_neg = len(labels) - n_pos
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    rank_sum = float(ranks[labels == 1].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def auc_pr_tie_loop(scores, labels):
+    """The per-group loop auc_pr used before it was vectorised: one step per threshold."""
+    n_pos = int((labels == 1).sum())
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_labels = labels[order]
+    area = 0.0
+    tp = fp = 0
+    prev_recall = 0.0
+    i = 0
+    n = len(scores)
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        tp += int((sorted_labels[i:j + 1] == 1).sum())
+        fp += (j - i + 1) - int((sorted_labels[i:j + 1] == 1).sum())
+        recall = tp / n_pos
+        precision = tp / (tp + fp)
+        area += (recall - prev_recall) * precision
+        prev_recall = recall
+        i = j + 1
+    return area
+
+
 def solve_two_point_logistic(x1, x0, l2):
     """Regularized two-point logistic fit, reduced to a scalar root problem.
 
@@ -139,6 +182,24 @@ class TestClassifier:
         pred = model.predict_proba(X) >= 0.5
         assert np.array_equal(pred, y.astype(bool))
 
+    @pytest.mark.parametrize("X,y", [
+        ([[-2.0], [-1.0], [1.0], [2.0]], [0, 0, 1, 1]),
+        # a full Newton step from zero overshoots here: without step halving the
+        # fit ends at max_iter with weights near 1e7 that misclassify
+        ([[-0.15, -1.32], [0.31, 0.11], [0.72, 1.92], [-0.99, -0.48], [-0.6, -0.45],
+          [0.4, 0.6], [-0.51, 1.33]], [0, 0, 0, 1, 0, 0, 1]),
+    ])
+    def test_near_separable_data_stays_finite(self, X, y, caplog):
+        # with almost no penalty the optimum lies at large weights
+        X, y = np.array(X), np.array(y, dtype=float)
+        with caplog.at_level("WARNING", logger="trine.evaluation"), \
+                np.errstate(over="raise", invalid="raise"):
+            model = train_classifier(X, y, l2=1e-8)
+            proba = model.predict_proba(X)
+        assert np.isfinite(model.weights).all() and math.isfinite(model.intercept)
+        assert np.array_equal(proba >= 0.5, y.astype(bool))
+        assert not caplog.records
+
     def test_equal_features_balanced_labels(self):
         X = np.ones((10, 3))
         y = np.array([0.0, 1.0] * 5)
@@ -152,8 +213,18 @@ class TestClassifier:
         X = np.array([[x1], [x0]])
         y = np.array([1.0, 0.0])
         model = train_classifier(X, y, l2=l2, tol=1e-12)
-        assert abs(model.weights[0] - w_star) < 1e-4
-        assert abs(model.intercept - b_star) < 1e-4
+        assert abs(model.weights[0] - w_star) < 1e-9
+        assert abs(model.intercept - b_star) < 1e-9
+
+    def test_random_problem_reaches_tolerance(self):
+        rng = np.random.default_rng(41)
+        n, d, l2, tol = 200, 5, 1e-3, 1e-8
+        X = rng.normal(size=(n, d))
+        y = (X @ rng.normal(size=d) + rng.normal(size=n) > 0).astype(float)
+        model = train_classifier(X, y, l2=l2, tol=tol)
+        p = 1.0 / (1.0 + np.exp(-(X @ model.weights + model.intercept)))
+        grad = np.append(X.T @ (p - y) / n + l2 * model.weights, np.mean(p - y))
+        assert np.linalg.norm(grad) <= tol
 
     def test_single_class_rejected(self):
         with pytest.raises(EvalError, match="single class"):
@@ -213,6 +284,19 @@ class TestAucRoc:
             # small integer grid forces plenty of ties
             scores = rng.integers(0, 6, size=n).astype(float)
             assert auc_roc(scores, labels) == auc_pair_counting_oracle(scores, labels)
+
+    def test_tie_groups_match_reference_loops(self):
+        rng = np.random.default_rng(43)
+        for trial in range(50):
+            n = int(rng.integers(2, 80))
+            labels = rng.integers(0, 2, size=n)
+            if labels.min() == labels.max():
+                labels[0] = 1 - labels[0]
+            scores = rng.integers(0, 8, size=n).astype(float) if trial % 2 else rng.random(n)
+            # mid-ranks are exact half-integers and the area adds its steps in
+            # the loop's order, so both agree exactly
+            assert auc_roc(scores, labels) == auc_roc_tie_loop(scores, labels)
+            assert auc_pr(scores, labels) == auc_pr_tie_loop(scores, labels)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(23)
