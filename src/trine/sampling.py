@@ -167,6 +167,8 @@ class NegativeSampler:
         Rejection draws in rounds of as many uniforms as negatives are still
         missing. A round cannot overshoot, so the generator yields the same
         values, in the same order, as drawing and testing one at a time.
+        No program path calls this: it is the one-centre reference of
+        :meth:`sample_many`'s law, and a public probe.
         """
         if ns == 0:
             return []
@@ -196,7 +198,8 @@ class NegativeSampler:
                     rng: np.random.Generator) -> np.ndarray:
         """Draw ``ns`` negatives for each of the party's ``centers``: row ``k`` serves ``centers[k]``.
 
-        Every row follows the law of :meth:`sample`, and a single centre
+        The program draws every negative here, in training and in the loss
+        draw. Every row follows the law of :meth:`sample`, and a single centre
         consumes the generator as :meth:`sample` does, up to the same error.
         Centres on the restricted table draw first, ``ns`` uniforms each in
         centre order. The others draw in rejection rounds: a round draws, for

@@ -10,12 +10,14 @@ Each epoch permutes the edge list and walks it in batches of
 endpoint, that occurrence's window partners, their negatives), takes every
 explicit and implicit gradient at the batch-start state, and adds them,
 summed per row. The per-term gradients are those of the scalar
-:func:`explicit_update` and :func:`implicit_update`, and the negatives
-follow :meth:`NegativeSampler.sample`'s law; only the interleaving of
-updates differs from one-at-a-time SGD. The permutation spreads a batch
+:func:`explicit_update` and :func:`implicit_update`; only the interleaving
+of updates differs from one-at-a-time SGD. The permutation spreads a batch
 over many rows (in edge-list order a batch would repeat one user's row),
 but a party with fewer nodes than a batch has endpoints still gets several
-summed gradients per row in every batch.
+summed gradients per row in every batch. A skip-gram pair, in a batch or in
+the fixed loss-evaluation draw, is a centre, a context row (the partner,
+then negatives from one :meth:`NegativeSampler.sample_many` call per party)
+and a mask of live entries, all made by :func:`_with_negatives`.
 """
 
 from __future__ import annotations
@@ -140,9 +142,6 @@ class EmbeddingStore:
 
     def copy(self) -> "EmbeddingStore":
         return EmbeddingStore([m.copy() for m in self.emb], [m.copy() for m in self.ctx], self.labels)
-
-    def vector(self, node: Node) -> np.ndarray:
-        return self.emb[node.party][node.index]
 
     def reindexed_to(self, g: TripartiteGraph) -> "EmbeddingStore":
         """Rows permuted to match the graph's label-to-index assignment."""
@@ -327,15 +326,28 @@ class _Occurrences(NamedTuple):
         return cls(typed.nodes[party], lo.astype(np.int32), hi.astype(np.int32), order, start)
 
 
+def _with_negatives(party: int, centers: np.ndarray, partners: np.ndarray,
+                    sampler: NegativeSampler, ns: int, rng: np.random.Generator):
+    """Each pair's context row (the partner, then ``ns`` negatives) and its live entries.
+
+    The negatives come from one :meth:`NegativeSampler.sample_many` call. A
+    centre without admissible negatives has only its partner live: its
+    negative columns repeat the partner.
+    """
+    has = sampler.has_negatives_many(party, centers)
+    contexts = np.repeat(partners[:, None], 1 + ns, axis=1)
+    contexts[has, 1:] = sampler.sample_many(party, centers[has], ns, rng)
+    return contexts, (np.arange(1 + ns) == 0) | has[:, None]
+
+
 def _implicit_pairs(occ: _Occurrences, party: int, centers: np.ndarray, step: np.ndarray,
                       sampler: NegativeSampler, ns: int, rng: np.random.Generator):
     """One batch's implicit pairs for endpoints ``centers`` of one party, each at ``step``.
 
     Each centre that occurs in the corpus draws one occurrence uniformly,
     and each partner in that occurrence's window makes a pair. Returns the
-    pairs' centres, their context rows (the partner, then ``ns`` drawn
-    negatives) and the entries' steps. A centre without admissible negatives
-    gets only the positive: its negative columns repeat the partner at step 0.
+    pairs' centres, their context rows (see :func:`_with_negatives`) and the
+    entries' steps, 0 on the entries that are not live.
     """
     first = occ.start[centers]
     count = occ.start[centers + 1] - first
@@ -344,12 +356,8 @@ def _implicit_pairs(occ: _Occurrences, party: int, centers: np.ndarray, step: np
     at = occ.order[first[seen] + rng.integers(count[seen])]
     pick, partners = window_pairs(occ.lo[at], occ.hi[at], at=at)
     centers = centers[pick]
-    has = sampler.has_negatives_many(party, centers)
-    contexts = np.repeat(occ.nodes[partners][:, None], 1 + ns, axis=1)
-    contexts[has, 1:] = sampler.sample_many(party, centers[has], ns, rng)
-    steps = np.repeat(step[pick][:, None], 1 + ns, axis=1)
-    steps[~has, 1:] = 0.0
-    return centers, contexts, steps
+    contexts, live = _with_negatives(party, centers, occ.nodes[partners], sampler, ns, rng)
+    return centers, contexts, step[pick][:, None] * live
 
 
 def _explicit_loss(store: EmbeddingStore, g: TripartiteGraph) -> tuple[float, float, float]:
@@ -365,9 +373,8 @@ def _explicit_loss(store: EmbeddingStore, g: TripartiteGraph) -> tuple[float, fl
     return tuple(out)
 
 
-# Per party: centers, their concatenated [context] + negatives index rows,
-# and the row offsets (CSR form) of the loss draw. int32 halves the cache;
-# node indices stay far below 2**31.
+# Per party: the loss draw's centres, context rows and live entries, in the
+# form of a training batch (see _with_negatives).
 _LossSample = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
@@ -380,18 +387,8 @@ def _loss_sample(typed: TypedCorpus, sampler: NegativeSampler, cfg: TrainConfig)
         total = int((hi - lo - 1).sum())
         capped = total > _LOSS_EVAL_MAX_PAIRS
         ranks = rng.integers(total, size=_LOSS_EVAL_MAX_PAIRS) if capped else None
-        centers, contexts = (typed.nodes[p][pos] for pos in window_pairs(lo, hi, ranks))
-        zs = np.empty(len(centers) * (1 + cfg.negatives), dtype=np.int32)
-        offsets = np.zeros(len(centers) + 1, dtype=np.int32)
-        end = 0
-        for k, (center, context) in enumerate(zip(centers.tolist(), contexts.tolist())):
-            node = Node(p, center)
-            negs = sampler.sample(node, cfg.negatives, rng) if sampler.has_negatives(node) else []
-            zs[end] = context
-            zs[end + 1:end + 1 + len(negs)] = negs
-            end += 1 + len(negs)
-            offsets[k + 1] = end
-        sample.append((centers, zs[:end], offsets))
+        centers, partners = (typed.nodes[p][pos] for pos in window_pairs(lo, hi, ranks))
+        sample.append((centers, *_with_negatives(p, centers, partners, sampler, cfg.negatives, rng)))
     return sample
 
 
@@ -399,16 +396,14 @@ def _loss_on_sample(store: EmbeddingStore, g: TripartiteGraph, sample: _LossSamp
                     cfg: TrainConfig) -> LossReport:
     explicit = _explicit_loss(store, g)
     implicit = []
-    for p, (centers, zs, offsets) in enumerate(sample):
-        # row k's first entry is its window partner, the rest its negatives
-        owner = np.repeat(centers, np.diff(offsets))
-        sign = np.full(len(zs), -1.0)
-        sign[offsets[:-1]] = 1.0
+    for p, (centers, contexts, live) in enumerate(sample):
+        sign = np.where(np.arange(contexts.shape[1]) == 0, 1.0, -1.0)  # partner +, negatives -
+        rows = max(1, _LOSS_CHUNK // contexts.shape[1])
         nll = 0.0
-        for lo in range(0, len(zs), _LOSS_CHUNK):
-            hi = lo + _LOSS_CHUNK
-            dots = np.einsum("ij,ij->i", store.emb[p][owner[lo:hi]], store.ctx[p][zs[lo:hi]])
-            nll -= float(_log_sigmoid(sign[lo:hi] * dots).sum())
+        for lo in range(0, len(centers), rows):
+            hi = lo + rows
+            dots = np.einsum("ijk,ik->ij", store.ctx[p][contexts[lo:hi]], store.emb[p][centers[lo:hi]])
+            nll -= float(_log_sigmoid(sign * dots)[live[lo:hi]].sum())
         implicit.append(nll)
     total = -(sum(a * o for a, o in zip(cfg.alpha, implicit))
               + sum(b * o for b, o in zip(cfg.beta, explicit)))
@@ -543,11 +538,12 @@ def save_embeddings(store: EmbeddingStore, path, context_path=None) -> None:
 def _write_matrix_file(mats: list[np.ndarray], labels: tuple[list[str], ...], path) -> None:
     total = sum(m.shape[0] for m in mats)
     dim = mats[0].shape[1]
+    line = "%s" + " %.9g" * dim + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{total} {dim}\n")
         for p in range(N_PARTIES):
-            for i, lab in enumerate(labels[p]):
-                fh.write(lab + " " + " ".join(f"{x:.9g}" for x in mats[p][i]) + "\n")
+            for lab, row in zip(labels[p], mats[p]):
+                fh.write(line % (lab, *row.tolist()))
 
 
 def load_embeddings(path, schema: Schema, context_path=None) -> EmbeddingStore:

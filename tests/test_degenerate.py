@@ -1,8 +1,10 @@
-"""Tiny and degenerate graphs: ``train`` and ``trine e2e`` succeed or fail cleanly.
+"""Tiny and degenerate graphs: ``train`` and the subcommands succeed or fail cleanly.
 
 Either training returns finite embeddings (the CLI exits 0), or it raises a
 ``TrineError`` subclass (the CLI exits 1, or 2 for a usage error); no other
-exception escapes. The graphs hold fewer edges than one training batch.
+exception escapes. ``trine hits``, ``walks`` and ``evaluate`` (on a file a
+``trine train`` run wrote) hold to the same exit codes. The graphs hold
+fewer edges than one training batch.
 """
 
 import tempfile
@@ -66,6 +68,46 @@ class TestTrainOnTinyGraphs:
             assert np.all(np.isfinite(store.emb[p])) and np.all(np.isfinite(store.ctx[p]))
 
 
+def _metapath_flags(name: str) -> list[str]:
+    return [f for m in METAPATHS[name] for f in ("--metapath", "".join("upc"[t] for t in m.types))]
+
+
+class TestOtherSubcommandsOnTinyGraphs:
+    @given(tiny_graphs(), st.sampled_from(sorted(METAPATHS)))
+    @example(SINGLE_EDGE, "default")
+    @example(EDGELESS_PARTY, "upu")
+    @example(((0, 0, 0), []), "default")
+    @settings(**settings_)
+    def test_hits_and_walks_exit_codes_are_clean(self, graph, metapaths):
+        counts, edges = graph
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "edges.txt"
+            write_edge_list(build_from_pairs(counts, edges), path)
+            common = ["--edges", str(path), "--seed", "4", "--quiet"]
+            assert cli_main(["hits", "--out", str(Path(tmp) / "hits.txt")] + common) in (0, 1, 2)
+            assert cli_main(["walks", "--out", str(Path(tmp) / "walks.txt"), "--max-walks", "2",
+                             "--walk-length", "5"] + common + _metapath_flags(metapaths)) in (0, 1, 2)
+
+    @given(tiny_graphs(), st.sampled_from(RELATION_NAMES), st.sampled_from(sorted(METAPATHS)))
+    @example(SINGLE_EDGE, "12", "default")
+    @example(EDGELESS_PARTY, "12", "default")
+    @example(THREE_PARTIES, "13", "cpc")
+    @settings(**settings_)
+    def test_evaluate_exit_code_is_clean(self, graph, relation, metapaths):
+        counts, edges = graph
+        with tempfile.TemporaryDirectory() as tmp:
+            path, emb = Path(tmp) / "edges.txt", Path(tmp) / "emb.txt"
+            write_edge_list(build_from_pairs(counts, edges), path)
+            common = ["--edges", str(path), "--seed", "4", "--quiet"]
+            code = cli_main(["train", "--out", str(emb), "--dim", "3", "--epochs", "2",
+                             "--max-walks", "2", "--walk-length", "5", "--window", "2"]
+                            + common + _metapath_flags(metapaths))
+            assert code in (0, 1, 2)
+            if code == 0:
+                assert cli_main(["evaluate", "--embeddings", str(emb), "--relation", relation,
+                                 "--folds", "2"] + common) in (0, 1, 2)
+
+
 class TestE2eOnTinyGraphs:
     @given(tiny_graphs(), st.sampled_from(RELATION_NAMES), st.sampled_from(sorted(METAPATHS)),
            st.sampled_from([0, 2]), st.integers(-1, 2))
@@ -79,9 +121,7 @@ class TestE2eOnTinyGraphs:
         counts, edges = graph
         flags = ["--relation", relation, "--folds", "2", "--dim", "3", "--epochs", "2",
                  "--max-walks", "2", "--walk-length", "5", "--window", "2",
-                 "--negatives", str(negatives), "--seed", "4", "--quiet"]
-        for m in METAPATHS[metapaths]:
-            flags += ["--metapath", "".join("upc"[t] for t in m.types)]
+                 "--negatives", str(negatives), "--seed", "4", "--quiet"] + _metapath_flags(metapaths)
         if zero_alpha >= 0:
             flags += [f"--alpha{zero_alpha + 1}", "0"]
         with tempfile.TemporaryDirectory() as tmp:

@@ -3,7 +3,10 @@
 The digest was recorded on the list-of-lists corpus with dict-of-set
 exclusion buckets, before the corpus became flat arrays, and recorded again
 when a centre's admissible mass stopped counting the centre twice (the loss
-draw then gives negatives to centres it used to skip). Everything hashed
+draw then gives negatives to centres it used to skip), and recorded once
+more when the loss draw took its negatives from one ``sample_many`` call
+per party, in the training batch's (centres, context rows, live entries)
+form, instead of one scalar ``sample`` call per centre. Everything hashed
 is an integer, so the digest does not depend on the BLAS build or on float
 summation order. A change that alters the walks, the per-type split, the
 window co-occurrence buckets or the random stream of the loss-evaluation
@@ -21,7 +24,7 @@ from trine.synth import planted_graph
 from trine.trainer import TrainConfig, _loss_sample, default_metapaths
 from trine.walks import filter_by_type, generate_corpus
 
-EXPECTED_DIGEST = "10081fd7380b78154216da102a0608b4f64ccb781a1d634bb28fdda4c4638914"
+EXPECTED_DIGEST = "deabf5c6a395603f6eb412b4f3a94fef175d8da60fa86867c96d206c9aa6a812"
 
 
 def _int_block(h, values) -> None:
@@ -31,7 +34,7 @@ def _int_block(h, values) -> None:
 
 
 def integer_digest(seed: int) -> tuple[str, list[int]]:
-    """SHA-256 over typed sequences, exclusion buckets and loss-sample arrays.
+    """SHA-256 over typed sequences, exclusion buckets and the loss draw's arrays.
 
     Also returns each party's number of loss-evaluation pairs, so the test
     can check that the draw covers both the all-pairs and the picked branch.
@@ -50,8 +53,8 @@ def integer_digest(seed: int) -> tuple[str, list[int]]:
         for i in range(g.counts[p]):
             _int_block(h, sorted(sampler.exclusion_bucket(Node(p, i))))
     sample = _loss_sample(typed, sampler, cfg)
-    for centers, zs, offsets in sample:
-        for arr in (centers, zs, offsets):
+    for centers, contexts, live in sample:
+        for arr in (centers, contexts.ravel(), live.ravel()):
             _int_block(h, arr)
     return h.hexdigest(), [len(centers) for centers, _, _ in sample]
 

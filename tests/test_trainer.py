@@ -416,6 +416,41 @@ class TestComputeLoss:
         assert r1.implicit == r2.implicit
         assert r1.total == r2.total
 
+    def test_draw_layout_and_scalar_loss(self):
+        """The loss draw is (centres, context rows, live entries), as a training batch holds pairs.
+
+        User 0 co-occurs with every other user and pages 0 and 1 with each
+        other, so those centres have no admissible negatives; users 1-4 have.
+        """
+        counts = (5, 2, 0)
+        g = build_from_pairs(counts, [(0, i, i % 2, 1.0) for i in range(5)])
+        typed = TypedCorpus.from_sequences(([[1, 0, 2], [3, 0, 4], [1, 2, 1]], [[0, 1]], []))
+        cfg = TrainConfig(dim=4, window=1, negatives=3, seed=5)
+        sampler = NegativeSampler.build(typed, g, cfg.power, cfg.window)
+        store = make_store(counts, cfg.dim, np.random.default_rng(8))
+        sample = trainer._loss_sample(typed, sampler, cfg)
+        expected = []
+        for p, (centers, contexts, live) in enumerate(sample):
+            assert contexts.shape == live.shape == (len(centers), 1 + cfg.negatives)
+            empty = ~sampler.has_negatives_many(p, centers)
+            dead = np.zeros_like(live)
+            dead[empty, 1:] = True
+            assert np.array_equal(~live, dead)
+            nll = 0.0
+            for c, row, mask in zip(centers.tolist(), contexts.tolist(), live.tolist()):
+                excluded = sampler.exclusion_bucket(Node(p, c)) | {c}
+                assert all(z not in excluded for z, on in zip(row[1:], mask[1:]) if on)
+                for k, (z, on) in enumerate(zip(row, mask)):
+                    if on:
+                        dot = float(store.emb[p][c] @ store.ctx[p][z])
+                        nll -= math.log(sigmoid(dot if k == 0 else -dot))
+            expected.append(nll)
+        centers, _, live = sample[0]
+        assert set(centers[~live[:, 1]].tolist()) == {0}
+        assert live[centers != 0].all() and len(sample[1][0]) > 0 and not sample[1][2][:, 1:].any()
+        implicit = compute_loss(store, g, typed, sampler, cfg).implicit
+        assert implicit == pytest.approx(tuple(expected), rel=1e-12, abs=1e-12)
+
 
 class TestTrain:
     def _planted(self):
