@@ -94,10 +94,13 @@ def hits(g: TripartiteGraph, max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFA
     return CentralityScores(hub, auth, offsets)
 
 
-def walk_budget(score: float, min_walks: int, max_walks: int, scale: float) -> int:
-    """Number of walks to start at a node: clamp(ceil(score * scale), min, max)."""
+def walk_budget(score, min_walks: int, max_walks: int, scale: float):
+    """Number of walks to start at a node: clamp(ceil(score * scale), min, max).
+
+    ``score`` may also be an array of scores; the budgets are then an int64 array.
+    """
     if not (1 <= min_walks <= max_walks):
         raise ConfigError(f"need 1 <= min_walks <= max_walks, got {min_walks}, {max_walks}")
     if scale <= 0:
         raise ConfigError(f"scale must be positive, got {scale}")
-    return min(max(math.ceil(score * scale), min_walks), max_walks)
+    return np.clip(np.ceil(np.multiply(score, scale)), min_walks, max_walks).astype(np.int64)

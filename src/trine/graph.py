@@ -208,6 +208,11 @@ class TripartiteGraph:
         lo, hi = indptr[index], indptr[index + 1]
         return idx[lo:hi], wt[lo:hi]
 
+    def adjacency(self, party: int, target: int) -> tuple[np.ndarray, np.ndarray]:
+        """CSR ``(indptr, idx)`` of the ``party`` -> ``target`` adjacency, neighbors in index order."""
+        indptr, idx, _ = self._adj[(party, target)]
+        return indptr, idx
+
     def neighbors(self, node: Node, target: int) -> list[tuple[Node, float]]:
         """All ``target``-party nodes adjacent to ``node``, with edge weights.
 

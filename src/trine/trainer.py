@@ -22,6 +22,7 @@ and a mask of live entries, all made by :func:`_with_negatives`.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -46,8 +47,12 @@ _LOSS_STREAM = 404
 # the draw is derived from the seed alone, so it is fixed across epochs.
 _LOSS_EVAL_MAX_PAIRS = 5_000
 
-# Loss-draw rows gathered at once, which bounds the loss's scratch memory.
+# Loss-draw rows (and explicit-loss edges) gathered at once, which bounds the
+# loss's scratch memory.
 _LOSS_CHUNK = 4_096
+
+# Embedding-file lines whose values one numpy call parses.
+_READ_CHUNK = 4_096
 
 # Edges per minibatch. Larger batches take more stale gradients per row: at
 # 1024 edges a 30-node party's rows get hundreds per batch and diverge, and a
@@ -366,9 +371,11 @@ def _explicit_loss(store: EmbeddingStore, g: TripartiteGraph) -> tuple[float, fl
         if len(g.edge_wt[r]) == 0:
             out.append(0.0)
             continue
-        u = store.emb[a][g.edge_src[r]]
-        v = store.emb[b][g.edge_dst[r]]
-        dots = np.einsum("ij,ij->i", u, v)
+        src, dst = g.edge_src[r], g.edge_dst[r]
+        dots = np.empty(len(src))
+        for lo in range(0, len(src), _LOSS_CHUNK):
+            hi = lo + _LOSS_CHUNK
+            dots[lo:hi] = np.einsum("ij,ij->i", store.emb[a][src[lo:hi]], store.emb[b][dst[lo:hi]])
         out.append(float(-(g.edge_wt[r] * _log_sigmoid(dots)).sum()))
     return tuple(out)
 
@@ -574,29 +581,54 @@ def _read_matrix_file(path, schema: Schema):
         except ValueError:
             raise EmbeddingFileError(f"bad header {header!r}", 1) from None
         labels: tuple[list[str], ...] = ([], [], [])
-        rows: tuple[list[list[float]], ...] = ([], [], [])
-        n_read = 0
-        for line_no, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != dim + 1:
-                raise EmbeddingFileError(
-                    f"expected a label and {dim} values, got {len(fields)} fields", line_no
-                )
-            party = schema.party_of_label(fields[0])
-            try:
-                values = [float(x) for x in fields[1:]]
-            except ValueError:
-                raise EmbeddingFileError("non-numeric embedding value", line_no) from None
-            labels[party].append(fields[0])
-            rows[party].append(values)
-            n_read += 1
-        if n_read != count:
-            raise EmbeddingFileError(f"header declares {count} rows but file has {n_read}")
-    mats = [np.array(rows[p], dtype=np.float64).reshape(len(rows[p]), dim) for p in range(N_PARTIES)]
-    return labels, mats
+        parties: list[int] = []
+        blocks: list[np.ndarray] = []
+        rows = ((line_no, line) for line_no, raw in enumerate(fh, start=2) if (line := raw.strip()))
+        while chunk := list(itertools.islice(rows, _READ_CHUNK)):
+            blocks.append(_read_rows(chunk, dim, schema, labels, parties))
+        if len(parties) != count:
+            raise EmbeddingFileError(f"header declares {count} rows but file has {len(parties)}")
+    values = np.concatenate(blocks) if blocks else np.zeros((0, dim))
+    party_of = np.array(parties, dtype=np.int64)
+    return labels, [values[party_of == p] for p in range(N_PARTIES)]
+
+
+def _read_rows(chunk: list[tuple[int, str]], dim: int, schema: Schema,
+               labels: tuple[list[str], ...], parties: list[int]) -> np.ndarray:
+    """Values of numbered non-empty lines ``label v1 .. v_dim``; appends their labels and parties.
+
+    numpy parses the chunk's values in one call. Where that fails or finds
+    another field count, the lines are parsed one by one as ``float()``
+    parses them, which raises at the first faulty line.
+    """
+    try:
+        # the label column is read by split() below
+        table = np.loadtxt([line for _, line in chunk], dtype=np.float64, comments=None,
+                           converters={0: lambda label: 0.0}, ndmin=2)
+    except ValueError:
+        table = None
+    if table is not None and table.shape[1] == dim + 1:
+        values = table[:, 1:]
+    else:
+        values = np.array([_line_values(line, line_no, dim, schema) for line_no, line in chunk],
+                          dtype=np.float64).reshape(len(chunk), dim)
+    for _, line in chunk:
+        label = line.split(None, 1)[0]
+        party = schema.party_of_label(label)
+        labels[party].append(label)
+        parties.append(party)
+    return values
+
+
+def _line_values(line: str, line_no: int, dim: int, schema: Schema) -> list[float]:
+    fields = line.split()
+    if len(fields) != dim + 1:
+        raise EmbeddingFileError(f"expected a label and {dim} values, got {len(fields)} fields", line_no)
+    schema.party_of_label(fields[0])
+    try:
+        return [float(x) for x in fields[1:]]
+    except ValueError:
+        raise EmbeddingFileError("non-numeric embedding value", line_no) from None
 
 
 def default_metapaths() -> list[Metapath]:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -15,16 +16,55 @@ log = logging.getLogger(__name__)
 # Stream tag separating walk randomness from other seeded consumers.
 _WALK_STREAM = 101
 
+# Walks advanced together; bounds the random words and step scratch held at once.
+_WALK_BLOCK = 8_192
+
 
 @dataclass
 class WalkCorpus:
-    """Raw walks plus provenance (which metapath produced each walk)."""
+    """Walks as arrays, plus provenance (which metapath produced each walk).
 
-    walks: list[list[Node]] = field(default_factory=list)
-    metapath_ids: list[int] = field(default_factory=list)
+    Row ``k`` of ``nodes`` (int32, one row per walk) holds walk ``k``'s node
+    indices in its first ``lengths[k]`` columns and -1 after them.
+    ``metapath_ids[k]`` is the metapath that produced walk ``k``, and
+    ``types[m, step]`` (int8) is metapath ``m``'s party at position ``step``,
+    so walk ``k``'s node at ``step`` is
+    ``Node(types[metapath_ids[k], step], nodes[k, step])``.
+    """
+
+    nodes: np.ndarray
+    lengths: np.ndarray
+    metapath_ids: np.ndarray
+    types: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.walks)
+        return len(self.lengths)
+
+    @classmethod
+    def from_walks(cls, walks: list[list[Node]], metapath_ids: list[int],
+                   metapaths: list[Metapath]) -> "WalkCorpus":
+        """Build from lists of nodes; ValueError unless each walk follows its metapath's types."""
+        width = max((len(w) for w in walks), default=0)
+        types = _type_table(metapaths, width)
+        nodes = np.full((len(walks), width), -1, dtype=np.int32)
+        for k, (walk, m) in enumerate(zip(walks, metapath_ids)):
+            if [n.party for n in walk] != types[m, :len(walk)].tolist():
+                raise ValueError(f"walk {k} does not follow the types of metapath {m}")
+            nodes[k, :len(walk)] = [n.index for n in walk]
+        return cls(nodes, np.array([len(w) for w in walks], dtype=np.int32),
+                   np.array(metapath_ids, dtype=np.int32), types)
+
+    @cached_property
+    def walks(self) -> tuple[tuple[Node, ...], ...]:
+        """Each walk as a tuple of nodes, a read-only view built from the arrays on first access."""
+        parties = self.types[self.metapath_ids].tolist()
+        return tuple(tuple(map(Node, p[:n], i[:n]))
+                     for p, i, n in zip(parties, self.nodes.tolist(), self.lengths.tolist()))
+
+    def _parties_inside(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per cell of ``nodes``: its party and whether it lies inside its walk."""
+        inside = np.arange(self.nodes.shape[1]) < self.lengths[:, None]
+        return self.types[self.metapath_ids], inside
 
 
 @dataclass
@@ -128,18 +168,118 @@ def metapath_walk(g: TripartiteGraph, start: Node, path: Metapath, length: int,
     return walk
 
 
+def _type_table(metapaths: list[Metapath], width: int) -> np.ndarray:
+    """``types[m, step]``: metapath ``m``'s party at walk position ``step``."""
+    return np.array([[path.type_at(step) for step in range(width)] for path in metapaths],
+                    dtype=np.int8).reshape(len(metapaths), width)
+
+
+class _StackedAdjacency:
+    """The six cross-party CSR adjacencies stacked into one.
+
+    Row ``base[a, b] + i`` is node ``i`` of party ``a`` in the ``a -> b``
+    adjacency; its ``b``-party neighbors are
+    ``nbrs[first[row]:first[row] + deg[row]]``, in index order.
+    """
+
+    def __init__(self, g: TripartiteGraph):
+        self.base = np.zeros((N_PARTIES, N_PARTIES), dtype=np.int64)
+        first, deg, nbrs = [], [], []
+        rows = entries = 0
+        for a in range(N_PARTIES):
+            for b in range(N_PARTIES):
+                if a == b:
+                    continue
+                indptr, idx = g.adjacency(a, b)
+                self.base[a, b] = rows
+                first.append(indptr[:-1] + entries)
+                deg.append(np.diff(indptr))
+                nbrs.append(idx)
+                rows += len(indptr) - 1
+                entries += len(idx)
+        self.first, self.deg, self.nbrs = (np.concatenate(x) for x in (first, deg, nbrs))
+
+
+def _words(keys: list[list[int]], n_words: int) -> np.ndarray:
+    """The first ``2 * n_words`` 32-bit draws of each key's ``default_rng`` stream (uint64).
+
+    numpy serves a 64-bit word's low half first, then its high half.
+    """
+    raw = np.empty((len(keys), n_words), dtype=np.uint64)
+    if n_words:
+        for k, key in enumerate(keys):
+            raw[k] = np.random.default_rng(key).bit_generator.random_raw(n_words)
+    return np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=2).reshape(len(keys), 2 * n_words)
+
+
+def _lemire(x: np.ndarray, deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ``Generator.integers(deg)`` from one 32-bit draw ``x`` (uint64 arrays, deg >= 2).
+
+    Returns the pick ``(x * deg) >> 32`` and whether numpy rejects ``x``
+    and draws again.
+    """
+    m = x * deg
+    return m >> 32, (m & 0xFFFFFFFF) < (np.uint64(1 << 32) - deg) % deg
+
+
+def _advance(adj: _StackedAdjacency, base: np.ndarray, limit: np.ndarray, mid: np.ndarray,
+             words: np.ndarray, nodes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Advance a block of walks together, one step at a time, from ``nodes[:, 0]``.
+
+    Walk ``k`` follows metapath ``mid[k]`` up to ``limit[mid[k]]`` nodes, and
+    at ``step`` it moves along the adjacency whose rows start at
+    ``base[mid[k], step]``. ``words[k]`` holds its stream's 32-bit draws, of
+    which each step takes what ``metapath_walk``'s ``integers`` call takes:
+    none at a node with one neighbor, else one. Fills ``nodes`` and
+    ``lengths`` in place and returns the walks with a draw that numpy would
+    reject; they are left part-way, to be walked again.
+    """
+    cur = nodes[:, 0].astype(np.int64)
+    used = np.zeros(len(nodes), dtype=np.int64)
+    rows = np.arange(len(nodes))
+    rejected = []
+    for step in range(1, nodes.shape[1]):
+        rows = rows[limit[mid[rows]] > step]
+        at = base[mid[rows], step] + cur[rows]
+        deg = adj.deg[at]
+        rows, at, deg = rows[deg > 0], at[deg > 0], deg[deg > 0].astype(np.uint64)
+        if not len(rows):
+            break
+        pick = np.zeros(len(rows), dtype=np.uint64)
+        many = np.flatnonzero(deg > 1)
+        drawn = rows[many]
+        pick[many], bad = _lemire(words[drawn, used[drawn]], deg[many])
+        used[drawn] += 1
+        if bad.any():
+            rejected.append(drawn[bad])
+            keep = np.ones(len(rows), dtype=bool)
+            keep[many[bad]] = False
+            rows, at, pick = rows[keep], at[keep], pick[keep]
+        cur[rows] = adj.nbrs[adj.first[at] + pick.astype(np.int64)]
+        nodes[rows, step] = cur[rows]
+        lengths[rows] = step + 1
+    return np.concatenate(rejected) if rejected else rows[:0]
+
+
 def generate_corpus(g: TripartiteGraph, metapaths: list[Metapath], scores: CentralityScores,
                     min_walks: int, max_walks: int, scale: float | None, length: int,
                     seed: int) -> WalkCorpus:
     """Launch centrality-budgeted walks from every node, per matching metapath.
 
+    Walks are laid out by start party, start index, metapath and walk index.
     Each (node, metapath, walk index) triple gets its own RNG stream derived
     from the global seed, so the corpus is reproducible and independent of
-    generation order. ``scale=None`` resolves to the graph's node count, so
-    budgets stay within min/max for typical score magnitudes.
+    generation order. Blocks of ``_WALK_BLOCK`` walks advance together, each
+    walk taking the draws ``metapath_walk`` takes from its stream, so the
+    walks are ``metapath_walk``'s; a walk with a draw that numpy rejects is
+    walked again by ``metapath_walk``. ``scale=None`` resolves to the
+    graph's node count, so budgets stay within min/max for typical score
+    magnitudes.
     """
     if not metapaths:
         raise ValueError("need at least one metapath")
+    if length < 1:
+        raise ValueError(f"walk length must be >= 1, got {length}")
     if scale is None:
         scale = float(g.num_nodes)
     starts_by_party: list[list[int]] = [[] for _ in range(N_PARTIES)]
@@ -152,37 +292,71 @@ def generate_corpus(g: TripartiteGraph, metapaths: list[Metapath], scores: Centr
         log.warning("no metapath starts at or visits party type(s) %s; "
                     "those nodes get no walk context", names)
 
-    corpus = WalkCorpus()
+    # Each walk's (metapath, start party, start index, walk index), in corpus order.
+    keys = []
     for party in range(N_PARTIES):
-        for index in range(g.counts[party]):
-            node = Node(party, index)
-            budget = walk_budget(scores.of(node), min_walks, max_walks, scale)
-            for m in starts_by_party[party]:
-                path = metapaths[m]
-                for w in range(budget):
-                    rng = np.random.default_rng([seed, _WALK_STREAM, m, party, index, w])
-                    corpus.walks.append(metapath_walk(g, node, path, length, rng))
-                    corpus.metapath_ids.append(m)
-    return corpus
+        first = scores.offsets[party]
+        budget = walk_budget(scores.authority[first:first + g.counts[party]], min_walks, max_walks,
+                             scale)
+        ms = np.array(starts_by_party[party], dtype=np.int64)
+        per_node = budget * len(ms)
+        index = np.repeat(np.arange(g.counts[party]), per_node)
+        # j ranks a walk among its start node's: metapath ms[j // budget], walk index j % budget
+        j = np.arange(len(index)) - np.repeat(np.cumsum(per_node) - per_node, per_node)
+        b = budget[index]
+        keys.append((ms[j // b], np.full(len(index), party), index, j % b))
+    mid, party, index, w = (np.concatenate(k) for k in zip(*keys))
+
+    # A walk ends where its metapath would repeat a party (across the pattern's wrap-around).
+    types = _type_table(metapaths, length)
+    ends = np.concatenate([types[:, 1:] == types[:, :-1],
+                           np.ones((len(metapaths), 1), dtype=bool)], axis=1)
+    limit = ends.argmax(axis=1) + 1
+    width = int(limit.max())
+    types = types[:, :width]
+    adj = _StackedAdjacency(g)
+    base = np.zeros((len(metapaths), width), dtype=np.int64)
+    base[:, 1:] = adj.base[types[:, :-1], types[:, 1:]]
+
+    nodes = np.full((len(mid), width), -1, dtype=np.int32)
+    nodes[:, 0] = index
+    lengths = np.ones(len(mid), dtype=np.int32)
+    for lo in range(0, len(mid), _WALK_BLOCK):
+        block = slice(lo, lo + _WALK_BLOCK)
+        block_keys = [[seed, _WALK_STREAM, *k] for k in zip(
+            mid[block].tolist(), party[block].tolist(), index[block].tolist(), w[block].tolist())]
+        # a walk takes at most width - 1 draws
+        words = _words(block_keys, width // 2)
+        for k in _advance(adj, base, limit, mid[block], words, nodes[block], lengths[block]).tolist():
+            _, _, m, p, i, _ = block_keys[k]
+            walk = metapath_walk(g, Node(p, i), metapaths[m], length,
+                                 np.random.default_rng(block_keys[k]))
+            # the walk extends its part-way prefix, so the -1 padding past it stays
+            nodes[lo + k, :len(walk)] = [n.index for n in walk]
+            lengths[lo + k] = len(walk)
+    return WalkCorpus(nodes, lengths, mid.astype(np.int32), types)
 
 
 def filter_by_type(corpus: WalkCorpus) -> TypedCorpus:
     """Split every walk into per-party subsequences, dropping empty ones."""
-    nodes: tuple[list[int], ...] = ([], [], [])
-    offsets: tuple[list[int], ...] = ([0], [0], [0])
-    for walk in corpus.walks:
-        for node in walk:
-            nodes[node.party].append(node.index)
-        for p in range(N_PARTIES):
-            if len(nodes[p]) > offsets[p][-1]:
-                offsets[p].append(len(nodes[p]))
-    return TypedCorpus(tuple(np.array(n, dtype=np.int32) for n in nodes),
-                       tuple(np.array(o, dtype=np.int64) for o in offsets))
+    parties, inside = corpus._parties_inside()
+    nodes, offsets = [], []
+    for p in range(N_PARTIES):
+        mine = inside & (parties == p)
+        per_walk = mine.sum(axis=1)
+        nodes.append(corpus.nodes[mine])
+        offsets.append(np.concatenate([[0], np.cumsum(per_walk[per_walk > 0])]).astype(np.int64))
+    return TypedCorpus(tuple(nodes), tuple(offsets))
 
 
 def write_walks(corpus: WalkCorpus, g: TripartiteGraph, path) -> None:
     """Write one walk per line as space-separated node labels."""
+    parties, inside = corpus._parties_inside()
+    labels = np.array([lab for p in range(N_PARTIES) for lab in g.labels[p]], dtype=object)
+    first = np.cumsum((0,) + g.counts[:-1])
+    tokens = labels[first[parties[inside]] + corpus.nodes[inside]].tolist()
+    ends = np.cumsum(corpus.lengths).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for walk in corpus.walks:
-            fh.write(" ".join(g.label_of(n) for n in walk))
+        for lo, hi in zip([0] + ends[:-1], ends):
+            fh.write(" ".join(tokens[lo:hi]))
             fh.write("\n")

@@ -451,6 +451,25 @@ class TestComputeLoss:
         implicit = compute_loss(store, g, typed, sampler, cfg).implicit
         assert implicit == pytest.approx(tuple(expected), rel=1e-12, abs=1e-12)
 
+    def test_chunked_explicit_loss_is_bitwise_unchunked(self):
+        # relation 0 has 90 x 60 = 5,400 edges, more than one chunk; relation 2 has none
+        counts = (90, 60, 7)
+        edges = [(0, i, j, 1.0 + (i * j) % 3) for i in range(90) for j in range(60)]
+        edges += [(1, j, k, 0.5) for j in range(60) for k in range(7) if (j + k) % 2]
+        g = build_from_pairs(counts, edges)
+        assert len(g.edge_wt[0]) > trainer._LOSS_CHUNK
+        store = make_store(counts, 16, np.random.default_rng(4))
+        # chunked first, so that its scratch cannot reuse the unchunked formula's freed buffers
+        chunked = trainer._explicit_loss(store, g)
+        expected = []
+        for r, (a, b) in enumerate(trainer.RELATIONS):
+            if len(g.edge_wt[r]) == 0:
+                expected.append(0.0)
+                continue
+            dots = np.einsum("ij,ij->i", store.emb[a][g.edge_src[r]], store.emb[b][g.edge_dst[r]])
+            expected.append(float(-(g.edge_wt[r] * trainer._log_sigmoid(dots)).sum()))
+        assert chunked == tuple(expected)
+
 
 class TestTrain:
     def _planted(self):

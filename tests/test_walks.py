@@ -4,7 +4,7 @@ import pytest
 from trine.centrality import hits
 from trine.graph import Metapath, Node, build_from_pairs
 from trine.trainer import default_metapaths
-from trine.walks import filter_by_type, generate_corpus, metapath_walk
+from trine.walks import WalkCorpus, filter_by_type, generate_corpus, metapath_walk, write_walks
 
 from conftest import random_tripartite
 
@@ -135,17 +135,13 @@ class TestGenerateCorpus:
 class TestFilterByType:
     def test_mixed_walk_split(self):
         corpus_walks = [[Node(0, 1), Node(1, 1), Node(2, 1), Node(1, 2), Node(0, 2)]]
-        from trine.walks import WalkCorpus
-
-        typed = filter_by_type(WalkCorpus(corpus_walks, [0]))
+        typed = filter_by_type(WalkCorpus.from_walks(corpus_walks, [0], [Metapath((0, 1, 2, 1, 0))]))
         assert typed.sequences(0) == [[1, 2]]
         assert typed.sequences(1) == [[1, 2]]
         assert typed.sequences(2) == [[1]]
 
     def test_singleton_walk(self):
-        from trine.walks import WalkCorpus
-
-        typed = filter_by_type(WalkCorpus([[Node(1, 3)]], [0]))
+        typed = filter_by_type(WalkCorpus.from_walks([[Node(1, 3)]], [0], [Metapath((1, 0))]))
         assert typed.sequences(1) == [[3]]
         assert typed.sequences(0) == []
         assert typed.sequences(2) == []
@@ -180,3 +176,26 @@ class TestFilterByType:
             filtered = typed.occurrence_counts(p, g.counts[p])
             for i in range(g.counts[p]):
                 assert filtered[i] == raw_counts.get(Node(p, i), 0)
+
+    def test_arrays_match_split_of_walk_view(self, tmp_path):
+        rng = np.random.default_rng(40)
+        g = random_tripartite(rng, counts=(7, 5, 4), density=0.35)
+        paths = default_metapaths() + [Metapath((1, 0)), Metapath((0, 1, 2, 1))]
+        corpus = generate_corpus(g, paths, hits(g), 1, 4, None, 9, seed=11)
+        walks = corpus.walks
+        assert {len(w) for w in walks} >= {1, 4, 9}
+        typed = filter_by_type(corpus)
+        for p in range(3):
+            split = ([n.index for n in walk if n.party == p] for walk in walks)
+            assert typed.sequences(p) == [seq for seq in split if seq]
+            assert typed.nodes[p].dtype == np.int32 and typed.offsets[p].dtype == np.int64
+        path = tmp_path / "walks.txt"
+        write_walks(corpus, g, path)
+        assert path.read_text() == "".join(" ".join(g.label_of(n) for n in w) + "\n" for w in walks)
+
+    def test_from_walks_checks_metapath_types(self):
+        walks = [[Node(0, 1), Node(1, 0)], [Node(1, 2), Node(0, 0), Node(1, 1)]]
+        corpus = WalkCorpus.from_walks(walks, [0, 1], [Metapath((0, 1)), Metapath((1, 0, 1))])
+        assert corpus.walks == tuple(map(tuple, walks)) and corpus.lengths.tolist() == [2, 3]
+        with pytest.raises(ValueError, match="does not follow"):
+            WalkCorpus.from_walks(walks, [1, 1], [Metapath((0, 1)), Metapath((1, 0, 1))])
