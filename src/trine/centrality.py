@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .graph import RELATIONS, Node, TripartiteGraph
+from .graph import Node, TripartiteGraph
 
 log = logging.getLogger(__name__)
 
@@ -21,32 +21,19 @@ DEFAULT_TOL = 1e-8
 class CentralityScores:
     """L2-normalized hub and authority scores over all nodes.
 
-    Scores are stored as one global vector each, with parties laid out
-    consecutively; ``offsets[p]`` is the first global index of party ``p``.
+    Scores are stored as one global vector each, in the graph's global
+    layout: ``offsets[p]`` is the first global index of party ``p``.
     The walk budget uses the authority score (on a symmetric adjacency the
     two coincide at the fixed point).
     """
 
     hub: np.ndarray
     authority: np.ndarray
-    offsets: tuple[int, int, int]
+    offsets: np.ndarray
     degenerate: bool = False
 
     def of(self, node: Node) -> float:
         return float(self.authority[self.offsets[node.party] + node.index])
-
-
-def _global_arrays(g: TripartiteGraph):
-    offsets = (0, g.counts[0], g.counts[0] + g.counts[1])
-    srcs, dsts, wts = [], [], []
-    for r, (a, b) in enumerate(RELATIONS):
-        srcs.append(g.edge_src[r] + offsets[a])
-        dsts.append(g.edge_dst[r] + offsets[b])
-        wts.append(g.edge_wt[r])
-    src = np.concatenate(srcs) if srcs else np.zeros(0, dtype=np.int64)
-    dst = np.concatenate(dsts) if dsts else np.zeros(0, dtype=np.int64)
-    wt = np.concatenate(wts) if wts else np.zeros(0)
-    return offsets, src, dst, wt
 
 
 def hits(g: TripartiteGraph, max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_TOL) -> CentralityScores:
@@ -59,14 +46,14 @@ def hits(g: TripartiteGraph, max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFA
     """
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
-    if tol <= 0:
-        raise ConfigError(f"tol must be positive, got {tol}")
+    if not (0 < tol < math.inf):
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
     n = g.num_nodes
-    offsets, src, dst, wt = _global_arrays(g)
+    _, src, dst, wt = g.edge_rows
     if n == 0 or len(wt) == 0:
         log.warning("HITS on a graph with no edges: all scores are zero")
         zeros = np.zeros(n)
-        return CentralityScores(zeros, zeros.copy(), offsets, degenerate=True)
+        return CentralityScores(zeros, zeros.copy(), g.offsets, degenerate=True)
 
     def matvec(x):
         y = np.zeros(n)
@@ -91,7 +78,7 @@ def hits(g: TripartiteGraph, max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFA
         auth, hub = new_auth, new_hub
         if delta < tol:
             break
-    return CentralityScores(hub, auth, offsets)
+    return CentralityScores(hub, auth, g.offsets)
 
 
 def walk_budget(score, min_walks: int, max_walks: int, scale: float):
@@ -101,6 +88,6 @@ def walk_budget(score, min_walks: int, max_walks: int, scale: float):
     """
     if not (1 <= min_walks <= max_walks):
         raise ConfigError(f"need 1 <= min_walks <= max_walks, got {min_walks}, {max_walks}")
-    if scale <= 0:
-        raise ConfigError(f"scale must be positive, got {scale}")
+    if not (0 < scale < math.inf):
+        raise ConfigError(f"scale must be positive and finite, got {scale}")
     return np.clip(np.ceil(np.multiply(score, scale)), min_walks, max_walks).astype(np.int64)

@@ -341,9 +341,10 @@ def run(subcommand: str, cfg: RunConfig) -> int:
         _require(cfg, "out")
         g = _load_graph(cfg)
         schema = _schema(cfg)
+        tc = _train_config(cfg)
         scores = hits(g)
-        corpus = generate_corpus(g, _metapaths(cfg, schema), scores, cfg.min_walks,
-                                 cfg.max_walks, cfg.walk_scale, cfg.walk_length, cfg.seed)
+        corpus = generate_corpus(g, _metapaths(cfg, schema), scores, tc.min_walks,
+                                 tc.max_walks, tc.walk_scale, tc.walk_length, tc.seed)
         write_walks(corpus, g, cfg.out)
         log.info("wrote %d walks to %s", len(corpus), cfg.out)
         return 0

@@ -51,8 +51,8 @@ def make_link_dataset(g: TripartiteGraph, relation: int, neg_ratio: float,
     Negatives are distinct cross-party pairs absent from the relation, sampled
     uniformly without duplicates; ceil(neg_ratio * positives) of them.
     """
-    if neg_ratio <= 0:
-        raise EvalError(f"neg_ratio must be positive, got {neg_ratio}")
+    if not (0 < neg_ratio < math.inf):
+        raise EvalError(f"neg_ratio must be positive and finite, got {neg_ratio}")
     a, b = RELATIONS[relation]
     na, nb = g.counts[a], g.counts[b]
     src, dst = g.edge_src[relation], g.edge_dst[relation]
@@ -127,6 +127,8 @@ def train_classifier(X: np.ndarray, y: np.ndarray, l2: float = DEFAULT_L2,
     non-finite or so large that their Gram matrix overflows; logs a warning
     when ``max_iter`` is reached above ``tol``.
     """
+    if not (0 <= l2 < math.inf):
+        raise EvalError(f"l2 must be non-negative and finite, got {l2}")
     classes = np.unique(y)
     if len(classes) < 2:
         raise EvalError("classifier training set contains a single class")

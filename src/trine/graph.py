@@ -3,6 +3,14 @@
 Nodes belong to one of three parties (0, 1, 2). Edges only connect nodes
 of different parties and are undirected. The three cross-party relations
 are indexed 0: parties (0,1), 1: parties (1,2), 2: parties (0,2).
+
+The graph owns the global node layout: node ``i`` of party ``p`` is global
+row ``offsets[p] + i``, so party ``p`` holds rows ``offsets[p]:offsets[p + 1]``.
+Embedding matrices, HITS scores and the global edge arrays all use it. The
+graph also owns the one adjacency: the six cross-party CSR blocks stacked
+in (a, b) order (01, 02, 10, 12, 20, 21). Block ``(a, b)`` starts at row
+``base[a, b]``, and its row ``base[a, b] + i`` lists the ``b``-party
+neighbors of node ``i`` of party ``a`` in index order.
 """
 
 from __future__ import annotations
@@ -136,6 +144,24 @@ class ValidationReport:
         return not self.violations
 
 
+class EdgeRows(NamedTuple):
+    """Every edge in global rows, relation-major, each relation's edges in stored order."""
+
+    relation: np.ndarray
+    src: np.ndarray  # row of the endpoint in the relation's first party
+    dst: np.ndarray
+    wt: np.ndarray
+
+
+class StackedAdjacency(NamedTuple):
+    """The stacked blocks: row ``base[a, b] + i`` spans ``nbrs[indptr[row]:indptr[row + 1]]``, ``wts``."""
+
+    base: np.ndarray
+    indptr: np.ndarray
+    nbrs: np.ndarray
+    wts: np.ndarray
+
+
 class TripartiteGraph:
     """Immutable weighted tripartite graph with symmetric adjacency.
 
@@ -143,8 +169,9 @@ class TripartiteGraph:
     ``src`` indexes the relation's first party (ValueError if out of range);
     a repeated pair's weights are summed in input order. The graph stores
     them once, as ``edge_src`` / ``edge_dst`` / ``edge_wt`` sorted by (i, j)
-    without repeats, plus the CSR adjacency derived from them. It is
-    read-only once built.
+    without repeats. From them it builds, once, the global layout
+    ``offsets``, the same edges in global rows (``edge_rows``) and the
+    stacked adjacency (``adj``). It is read-only once built.
     """
 
     def __init__(self, schema: Schema, labels: tuple[list[str], ...],
@@ -152,13 +179,12 @@ class TripartiteGraph:
         self.schema = schema
         self.labels = labels
         self.counts = tuple(len(ls) for ls in labels)
+        self.offsets = np.concatenate([[0], np.cumsum(self.counts)]).astype(np.int64)
         self._index_of = {lab: Node(p, i) for p in range(N_PARTIES) for i, lab in enumerate(labels[p])}
         self.edge_src: list[np.ndarray] = []
         self.edge_dst: list[np.ndarray] = []
-        self.edge_wt: list[np.ndarray] = []
         self.total_weight: list[float] = []
-        # CSR neighbor arrays keyed by (party, target party)
-        self._adj: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        wts = []
         for r, (a, b) in enumerate(RELATIONS):
             src, dst = np.asarray(edges[r][0], dtype=np.int64), np.asarray(edges[r][1], dtype=np.int64)
             bad = np.flatnonzero((src < 0) | (src >= self.counts[a]) | (dst < 0) | (dst >= self.counts[b]))
@@ -172,10 +198,29 @@ class TripartiteGraph:
             src, dst = np.divmod(codes, n_b)
             self.edge_src.append(src)
             self.edge_dst.append(dst)
-            self.edge_wt.append(wt)
+            wts.append(wt)
             self.total_weight.append(float(wt.sum()))
-            self._adj[(a, b)] = _csr(src, dst, wt, self.counts[a])
-            self._adj[(b, a)] = _csr(dst, src, wt, self.counts[b])
+        sizes = [len(w) for w in wts]
+        wt = np.concatenate(wts)
+        # each weight is stored once: the per-relation arrays are views of the global one
+        self.edge_wt: list[np.ndarray] = np.split(wt, np.cumsum(sizes)[:-1])
+        self.edge_rows = EdgeRows(
+            np.repeat(np.arange(len(RELATIONS), dtype=np.int8), sizes),
+            np.concatenate([self.edge_src[r] + self.offsets[a] for r, (a, _) in enumerate(RELATIONS)]),
+            np.concatenate([self.edge_dst[r] + self.offsets[b] for r, (_, b) in enumerate(RELATIONS)]),
+            wt)
+        # blocks (a, b) in (0, 1), (0, 2), (1, 0), ... order, each row's neighbors sorted; the
+        # forward blocks of the relations list dst as neighbors, the reverse blocks src
+        blocks = list(itertools.permutations(range(N_PARTIES), 2))
+        base = np.zeros((N_PARTIES, N_PARTIES), dtype=np.int64)
+        base[tuple(zip(*blocks))] = np.cumsum([0] + [self.counts[a] for a, _ in blocks[:-1]])
+        row = np.concatenate([base[a, b] + self.edge_src[r] for r, (a, b) in enumerate(RELATIONS)]
+                             + [base[b, a] + self.edge_dst[r] for r, (a, b) in enumerate(RELATIONS)])
+        nbrs = np.concatenate(self.edge_dst + self.edge_src)
+        order = np.lexsort((nbrs, row))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=2 * self.num_nodes))])
+        self.adj = StackedAdjacency(base, indptr.astype(np.int64), nbrs[order],
+                                    np.concatenate([wt, wt])[order])
 
     # -- queries ---------------------------------------------------------------
 
@@ -203,26 +248,25 @@ class TripartiteGraph:
         return (Node(p, i) for p in range(N_PARTIES) for i in range(self.counts[p]))
 
     def neighbor_arrays(self, party: int, index: int, target: int) -> tuple[np.ndarray, np.ndarray]:
-        """Index and weight arrays of ``target``-party neighbors (may be empty)."""
-        indptr, idx, wt = self._adj[(party, target)]
-        lo, hi = indptr[index], indptr[index + 1]
-        return idx[lo:hi], wt[lo:hi]
+        """``target``-party neighbor indices and weights (may be empty); ValueError off the graph."""
+        if not self.has_node(Node(party, index)):
+            raise ValueError(f"node {Node(party, index)} not in graph (counts {self.counts})")
+        if target == party:
+            raise ValueError(f"invalid query: target party {target} equals the node's own party")
+        row = self.adj.base[party, target] + index
+        lo, hi = self.adj.indptr[row], self.adj.indptr[row + 1]
+        return self.adj.nbrs[lo:hi], self.adj.wts[lo:hi]
 
-    def adjacency(self, party: int, target: int) -> tuple[np.ndarray, np.ndarray]:
-        """CSR ``(indptr, idx)`` of the ``party`` -> ``target`` adjacency, neighbors in index order."""
-        indptr, idx, _ = self._adj[(party, target)]
-        return indptr, idx
+    def _block(self, party: int, target: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Block ``(party, target)`` as parallel (row, neighbor, weight) arrays in storage order."""
+        first = self.adj.base[party, target]
+        indptr = self.adj.indptr[first:first + self.counts[party] + 1]
+        entries = slice(indptr[0], indptr[-1])
+        return (np.repeat(np.arange(self.counts[party]), np.diff(indptr)),
+                self.adj.nbrs[entries], self.adj.wts[entries])
 
     def neighbors(self, node: Node, target: int) -> list[tuple[Node, float]]:
-        """All ``target``-party nodes adjacent to ``node``, with edge weights.
-
-        Raises ValueError when the query asks for same-party neighbors,
-        which cannot exist in a tripartite graph.
-        """
-        if not self.has_node(node):
-            raise ValueError(f"node {node} not in graph (counts {self.counts})")
-        if target == node.party:
-            raise ValueError(f"invalid query: target party {target} equals the node's own party")
+        """The ``target``-party neighbors of ``node`` and edge weights, from :meth:`neighbor_arrays`."""
         idx, wt = self.neighbor_arrays(node.party, node.index, target)
         return [(Node(target, int(j)), float(w)) for j, w in zip(idx, wt)]
 
@@ -248,7 +292,7 @@ class TripartiteGraph:
     def validate(self) -> ValidationReport:
         """Structural checks: symmetry, positive weights, consistent totals.
 
-        Vectorised, O(E log E): the symmetry check sorts the reverse CSR view
+        Vectorised, O(E log E): the symmetry check sorts the reverse block
         into forward order and reports the first (i, j, w) row that differs.
         """
         report = ValidationReport()
@@ -267,8 +311,8 @@ class TripartiteGraph:
                     f"!= recomputed {total}"
                 )
             # Symmetric view: forward and reverse adjacency must agree.
-            fwd_i, fwd_j, fwd_w = _expand(self._adj[(a, b)])
-            rev_j, rev_i, rev_w = _expand(self._adj[(b, a)])
+            fwd_i, fwd_j, fwd_w = self._block(a, b)
+            rev_j, rev_i, rev_w = self._block(b, a)
             order = np.lexsort((rev_j, rev_i))
             rev_i, rev_j, rev_w = rev_i[order], rev_j[order], rev_w[order]
             n = min(len(fwd_i), len(rev_i))
@@ -281,18 +325,6 @@ class TripartiteGraph:
                     f"({self.labels[a][i]}, {self.labels[b][j]})"
                 )
         return report
-
-
-def _csr(src: np.ndarray, dst: np.ndarray, wt: np.ndarray, n_rows: int):
-    order = np.lexsort((dst, src))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n_rows))])
-    return indptr, dst[order], wt[order]
-
-
-def _expand(csr) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A CSR adjacency as parallel (row, column, weight) arrays in storage order."""
-    indptr, idx, wt = csr
-    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), idx, wt
 
 
 class GraphBuilder:

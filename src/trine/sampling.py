@@ -56,11 +56,9 @@ class NegativeSampler:
     # sampling from the renormalized restricted table (same distribution).
     _REJECTION_MIN_MASS = 0.25
 
-    def __init__(self, tables: list[_PartyTable], power: float, window: int):
+    def __init__(self, tables: list[_PartyTable]):
         self._tables = tables
         self._restricted: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(tables)
-        self.power = power
-        self.window = window
 
     @classmethod
     def build(cls, typed: TypedCorpus, g: TripartiteGraph, power: float = DEFAULT_POWER,
@@ -96,7 +94,7 @@ class NegativeSampler:
             excluded = np.bincount(rows, weights=probs[cols], minlength=n)
             tables.append(_PartyTable(probs, _pinned(cum), starts, codes, own,
                                       np.maximum(1.0 - excluded, 0.0)))
-        return cls(tables, power, window)
+        return cls(tables)
 
     def table_probabilities(self, party: int) -> np.ndarray:
         """The proposal distribution for one party (sums to 1)."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
 from .graph import DEFAULT_SCHEMA, N_PARTIES, RELATIONS, Schema, TripartiteGraph, index_labels
 
 _SYNTH_STREAM = 707
@@ -44,12 +45,14 @@ def planted_graph(counts: tuple[int, int, int], communities: int, p_in: float, p
                   seed: int, activity_spread: float = DEFAULT_ACTIVITY_SPREAD,
                   schema: Schema = DEFAULT_SCHEMA) -> TripartiteGraph:
     """Generate the benchmark graph; all three relations are sampled."""
+    if any(n < 0 for n in counts):
+        raise ConfigError(f"party sizes must be non-negative, got {tuple(counts)}")
     if communities < 1:
-        raise ValueError(f"need at least one community, got {communities}")
+        raise ConfigError(f"need at least one community, got {communities}")
     if not (0 <= p_out <= p_in <= 1):
-        raise ValueError(f"need 0 <= p_out <= p_in <= 1, got p_in={p_in}, p_out={p_out}")
-    if activity_spread < 1:
-        raise ValueError(f"activity_spread must be >= 1, got {activity_spread}")
+        raise ConfigError(f"need 0 <= p_out <= p_in <= 1, got p_in={p_in}, p_out={p_out}")
+    if not (1 <= activity_spread < np.inf):
+        raise ConfigError(f"activity_spread must be finite and >= 1, got {activity_spread}")
     rng = np.random.default_rng([seed, _SYNTH_STREAM])
     comm = [np.arange(counts[p]) % communities for p in range(N_PARTIES)]
     acts = [_user_activities(counts[0], activity_spread), np.ones(counts[1]), np.ones(counts[2])]

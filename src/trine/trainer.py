@@ -107,6 +107,12 @@ class TrainConfig:
     def validate(self) -> None:
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
+        reals = {"lr": self.lr, "gamma": self.gamma, "power": self.power, "walk_scale": self.walk_scale}
+        reals.update((f"alpha{p + 1}", a) for p, a in enumerate(self.alpha))
+        reals.update((f"beta{r + 1}", b) for r, b in enumerate(self.beta))
+        for name, value in reals.items():
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if any(a < 0 for a in self.alpha) or any(b < 0 for b in self.beta):
@@ -203,8 +209,8 @@ def _init_flat(g: TripartiteGraph, cfg: TrainConfig,
 
 
 def _store_of(emb: np.ndarray, ctx: np.ndarray, g: TripartiteGraph) -> EmbeddingStore:
-    """A store of per-party views into flat (nodes, dim) matrices."""
-    cuts = np.cumsum(g.counts)[:-1]
+    """A store of per-party views into flat (nodes, dim) matrices in the graph's global layout."""
+    cuts = g.offsets[1:-1]
     return EmbeddingStore(np.split(emb, cuts), np.split(ctx, cuts), g.labels)
 
 
@@ -472,14 +478,12 @@ def train(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
     if on_epoch is not None:
         on_epoch(0, prev)
 
-    # every edge of every relation: its endpoints' parties, indices and rows
-    # of the flat matrices, and its explicit coefficient
-    relation = np.repeat(np.arange(len(RELATIONS)), [len(w) for w in g.edge_wt])
-    party = np.array(RELATIONS)[relation]
+    # every edge of every relation: its endpoints' parties and per-party
+    # indices, and its explicit coefficient; g.edge_rows has their flat rows
+    edges = g.edge_rows
+    party = np.array(RELATIONS)[edges.relation]
     index = np.stack([np.concatenate(g.edge_src), np.concatenate(g.edge_dst)], axis=1)
-    first_row = np.concatenate([[0], np.cumsum(g.counts)])
-    row = index + first_row[party]
-    coef = cfg.gamma * np.asarray(cfg.beta)[relation] * np.concatenate(g.edge_wt)
+    coef = cfg.gamma * np.asarray(cfg.beta)[edges.relation] * edges.wt
     no_pairs = (np.zeros(0, dtype=np.int64), np.zeros((0, 1 + cfg.negatives), dtype=np.int64),
                 np.zeros((0, 1 + cfg.negatives)))
 
@@ -506,8 +510,8 @@ def train(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
                     centers, contexts, pair_step = _implicit_pairs(
                         occurrences[p], p, end_index[ends], cfg.alpha[p] * end_lr[ends],
                         sampler, cfg.negatives, rng)
-                    pairs.append((centers + first_row[p], contexts + first_row[p], pair_step))
-                _minibatch_step(emb, ctx, row[batch, 0], row[batch, 1], lr * coef[batch],
+                    pairs.append((centers + g.offsets[p], contexts + g.offsets[p], pair_step))
+                _minibatch_step(emb, ctx, edges.src[batch], edges.dst[batch], lr * coef[batch],
                                 *map(np.concatenate, zip(*pairs)))
         except NonFiniteError as exc:
             log.error("training diverged in epoch %d (%s); returning last finite checkpoint", epoch, exc)

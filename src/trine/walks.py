@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .centrality import CentralityScores, walk_budget
-from .graph import N_PARTIES, Metapath, Node, TripartiteGraph
+from .graph import N_PARTIES, Metapath, Node, StackedAdjacency, TripartiteGraph
 
 log = logging.getLogger(__name__)
 
@@ -174,32 +174,6 @@ def _type_table(metapaths: list[Metapath], width: int) -> np.ndarray:
                     dtype=np.int8).reshape(len(metapaths), width)
 
 
-class _StackedAdjacency:
-    """The six cross-party CSR adjacencies stacked into one.
-
-    Row ``base[a, b] + i`` is node ``i`` of party ``a`` in the ``a -> b``
-    adjacency; its ``b``-party neighbors are
-    ``nbrs[first[row]:first[row] + deg[row]]``, in index order.
-    """
-
-    def __init__(self, g: TripartiteGraph):
-        self.base = np.zeros((N_PARTIES, N_PARTIES), dtype=np.int64)
-        first, deg, nbrs = [], [], []
-        rows = entries = 0
-        for a in range(N_PARTIES):
-            for b in range(N_PARTIES):
-                if a == b:
-                    continue
-                indptr, idx = g.adjacency(a, b)
-                self.base[a, b] = rows
-                first.append(indptr[:-1] + entries)
-                deg.append(np.diff(indptr))
-                nbrs.append(idx)
-                rows += len(indptr) - 1
-                entries += len(idx)
-        self.first, self.deg, self.nbrs = (np.concatenate(x) for x in (first, deg, nbrs))
-
-
 def _words(keys: list[list[int]], n_words: int) -> np.ndarray:
     """The first ``2 * n_words`` 32-bit draws of each key's ``default_rng`` stream (uint64).
 
@@ -222,7 +196,7 @@ def _lemire(x: np.ndarray, deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m >> 32, (m & 0xFFFFFFFF) < (np.uint64(1 << 32) - deg) % deg
 
 
-def _advance(adj: _StackedAdjacency, base: np.ndarray, limit: np.ndarray, mid: np.ndarray,
+def _advance(adj: StackedAdjacency, base: np.ndarray, limit: np.ndarray, mid: np.ndarray,
              words: np.ndarray, nodes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Advance a block of walks together, one step at a time, from ``nodes[:, 0]``.
 
@@ -241,8 +215,9 @@ def _advance(adj: _StackedAdjacency, base: np.ndarray, limit: np.ndarray, mid: n
     for step in range(1, nodes.shape[1]):
         rows = rows[limit[mid[rows]] > step]
         at = base[mid[rows], step] + cur[rows]
-        deg = adj.deg[at]
-        rows, at, deg = rows[deg > 0], at[deg > 0], deg[deg > 0].astype(np.uint64)
+        first = adj.indptr[at]
+        deg = adj.indptr[at + 1] - first
+        rows, first, deg = rows[deg > 0], first[deg > 0], deg[deg > 0].astype(np.uint64)
         if not len(rows):
             break
         pick = np.zeros(len(rows), dtype=np.uint64)
@@ -254,8 +229,8 @@ def _advance(adj: _StackedAdjacency, base: np.ndarray, limit: np.ndarray, mid: n
             rejected.append(drawn[bad])
             keep = np.ones(len(rows), dtype=bool)
             keep[many[bad]] = False
-            rows, at, pick = rows[keep], at[keep], pick[keep]
-        cur[rows] = adj.nbrs[adj.first[at] + pick.astype(np.int64)]
+            rows, first, pick = rows[keep], first[keep], pick[keep]
+        cur[rows] = adj.nbrs[first + pick.astype(np.int64)]
         nodes[rows, step] = cur[rows]
         lengths[rows] = step + 1
     return np.concatenate(rejected) if rejected else rows[:0]
@@ -295,9 +270,8 @@ def generate_corpus(g: TripartiteGraph, metapaths: list[Metapath], scores: Centr
     # Each walk's (metapath, start party, start index, walk index), in corpus order.
     keys = []
     for party in range(N_PARTIES):
-        first = scores.offsets[party]
-        budget = walk_budget(scores.authority[first:first + g.counts[party]], min_walks, max_walks,
-                             scale)
+        budget = walk_budget(scores.authority[g.offsets[party]:g.offsets[party + 1]], min_walks,
+                             max_walks, scale)
         ms = np.array(starts_by_party[party], dtype=np.int64)
         per_node = budget * len(ms)
         index = np.repeat(np.arange(g.counts[party]), per_node)
@@ -314,9 +288,8 @@ def generate_corpus(g: TripartiteGraph, metapaths: list[Metapath], scores: Centr
     limit = ends.argmax(axis=1) + 1
     width = int(limit.max())
     types = types[:, :width]
-    adj = _StackedAdjacency(g)
     base = np.zeros((len(metapaths), width), dtype=np.int64)
-    base[:, 1:] = adj.base[types[:, :-1], types[:, 1:]]
+    base[:, 1:] = g.adj.base[types[:, :-1], types[:, 1:]]
 
     nodes = np.full((len(mid), width), -1, dtype=np.int32)
     nodes[:, 0] = index
@@ -327,7 +300,7 @@ def generate_corpus(g: TripartiteGraph, metapaths: list[Metapath], scores: Centr
             mid[block].tolist(), party[block].tolist(), index[block].tolist(), w[block].tolist())]
         # a walk takes at most width - 1 draws
         words = _words(block_keys, width // 2)
-        for k in _advance(adj, base, limit, mid[block], words, nodes[block], lengths[block]).tolist():
+        for k in _advance(g.adj, base, limit, mid[block], words, nodes[block], lengths[block]).tolist():
             _, _, m, p, i, _ = block_keys[k]
             walk = metapath_walk(g, Node(p, i), metapaths[m], length,
                                  np.random.default_rng(block_keys[k]))
@@ -353,8 +326,7 @@ def write_walks(corpus: WalkCorpus, g: TripartiteGraph, path) -> None:
     """Write one walk per line as space-separated node labels."""
     parties, inside = corpus._parties_inside()
     labels = np.array([lab for p in range(N_PARTIES) for lab in g.labels[p]], dtype=object)
-    first = np.cumsum((0,) + g.counts[:-1])
-    tokens = labels[first[parties[inside]] + corpus.nodes[inside]].tolist()
+    tokens = labels[g.offsets[parties[inside]] + corpus.nodes[inside]].tolist()
     ends = np.cumsum(corpus.lengths).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         for lo, hi in zip([0] + ends[:-1], ends):

@@ -97,6 +97,9 @@ class TestHits:
             hits(g, max_iter=0)
         with pytest.raises(ConfigError):
             hits(g, tol=0.0)
+        for tol in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="finite"):
+                hits(g, tol=tol)
 
 
 class TestWalkBudget:
@@ -121,3 +124,6 @@ class TestWalkBudget:
             walk_budget(0.5, 0, 3, 1.0)
         with pytest.raises(ConfigError):
             walk_budget(0.5, 1, 3, 0.0)
+        for scale in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="finite"):
+                walk_budget(0.5, 1, 3, scale)

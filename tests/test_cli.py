@@ -32,6 +32,26 @@ def synth_edges(tmp_path):
     return path
 
 
+# (subcommand, bad option, exit status): 2 for a ConfigError, 1 for an EvalError
+BAD_OPTIONS = [
+    ("train", ["--walk-scale", "nan"], 2),
+    ("train", ["--walk-scale", "inf"], 2),
+    ("train", ["--power", "nan"], 2),
+    ("train", ["--lr", "nan"], 2),
+    ("train", ["--lr", "inf"], 2),
+    ("train", ["--gamma", "nan"], 2),
+    ("train", ["--alpha1", "nan"], 2),
+    ("evaluate", ["--l2", "nan"], 1),
+    ("evaluate", ["--neg-ratio", "nan"], 1),
+    ("evaluate", ["--neg-ratio", "inf"], 1),
+    ("synth", ["--p-in", "2"], 2),
+    ("synth", ["--communities", "0"], 2),
+    ("synth", ["--activity-spread", "0.5"], 2),
+    ("synth", ["--users", "-3"], 2),
+    ("walks", ["--walk-length", "0"], 2),
+]
+
+
 class TestParseConfig:
     def test_defaults(self):
         sub, cfg, meta = parse_config(["train"])
@@ -219,3 +239,30 @@ class TestSubcommands:
     def test_bad_type_chars(self, six_node_edges, capsys):
         code = run_cli("hits", "--edges", str(six_node_edges), "--type-chars", "up", "--quiet")
         assert code == 2
+
+
+class TestBadOptionValues:
+    @pytest.fixture
+    def embeddings(self, synth_edges, tmp_path):
+        emb = tmp_path / "emb.txt"
+        assert run_cli("train", "--edges", str(synth_edges), "--out", str(emb), "--dim", "4",
+                       "--epochs", "1", "--walk-length", "4", "--max-walks", "1", "--quiet") == 0
+        return emb
+
+    @pytest.mark.parametrize("subcommand,option,code", BAD_OPTIONS,
+                             ids=[" ".join([c, *o]) for c, o, _ in BAD_OPTIONS])
+    def test_one_error_line_and_no_output(self, subcommand, option, code, synth_edges,
+                                          tmp_path, capsys, request):
+        out = tmp_path / "out.txt"
+        inputs = {"train": ["--edges", str(synth_edges), "--out", str(out)],
+                  "walks": ["--edges", str(synth_edges), "--out", str(out)],
+                  "synth": ["--out", str(out)]}
+        if subcommand == "evaluate":
+            inputs["evaluate"] = ["--edges", str(synth_edges), "--embeddings",
+                                  str(request.getfixturevalue("embeddings"))]
+        capsys.readouterr()
+        assert run_cli(subcommand, *inputs[subcommand], *option, "--quiet") == code
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1, err
+        assert "Traceback" not in err
+        assert not out.exists()

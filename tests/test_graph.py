@@ -1,13 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trine.errors import EdgeListError, SchemaError
-from trine.graph import (RELATIONS, GraphBuilder, Metapath, Node, Schema, TripartiteGraph,
-                         build_from_pairs, load_edge_list)
+from trine.graph import (RELATION_OF_PAIR, RELATIONS, GraphBuilder, Metapath, Node, Schema,
+                         TripartiteGraph, build_from_pairs, load_edge_list)
 
 from conftest import random_tripartite
+from test_degenerate import tiny_graphs
 
 
 class TestLoader:
@@ -130,8 +133,8 @@ class TestValidate:
 
     def test_injected_asymmetry(self, schema_graph):
         g = schema_graph
-        indptr, idx, wt = g._adj[(0, 1)]
-        wt[0] += 1.0  # forward weight no longer matches the reverse view
+        first = g.adj.indptr[g.adj.base[0, 1]]  # the (0, 1) block's first entry
+        g.adj.wts[first] += 1.0  # forward weight no longer matches the reverse block
         report = g.validate()
         assert any("asymmetric" in v for v in report.violations)
 
@@ -280,3 +283,43 @@ class TestCanonicalEdges:
             assert np.array_equal(g2.edge_dst[r], g.edge_dst[r][keep])
             assert g2.edge_wt[r].tobytes() == g.edge_wt[r][keep].tobytes()
         assert g2.validate().ok
+
+
+class TestGlobalLayout:
+    """The graph's offsets, global edge rows and stacked adjacency against its edge arrays."""
+
+    @given(tiny_graphs())
+    @example(((0, 0, 0), []))
+    @example(((2, 0, 3), [(2, 1, 2, 0.5), (2, 0, 2, 1.0), (2, 1, 0, 3.0)]))
+    @settings(max_examples=200, deadline=None)
+    def test_stacked_blocks_list_the_edges(self, graph):
+        counts, edges = graph
+        g = build_from_pairs(counts, edges)
+        assert g.offsets.tolist() == [0, counts[0], counts[0] + counts[1], sum(counts)]
+        for a, b in itertools.permutations(range(3), 2):
+            r = RELATION_OF_PAIR[(a, b)]
+            src, dst = g.edge_src[r], g.edge_dst[r]
+            mine, theirs = (src, dst) if RELATIONS[r][0] == a else (dst, src)
+            for i in range(counts[a]):
+                # stored edges are sorted by (i, j), so either side's partners come in index order
+                at = mine == i
+                idx, wt = g.neighbor_arrays(a, i, b)
+                assert idx.tolist() == theirs[at].tolist()
+                assert np.all(np.diff(idx) > 0)
+                assert wt.tobytes() == g.edge_wt[r][at].tobytes()
+                row = g.adj.base[a, b] + i
+                lo, hi = g.adj.indptr[row], g.adj.indptr[row + 1]
+                assert g.adj.nbrs[lo:hi].tolist() == idx.tolist()
+        assert g.adj.indptr[-1] == len(g.adj.nbrs) == len(g.adj.wts) == 2 * g.num_edges
+
+    @given(tiny_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_edge_rows_give_back_the_edge_arrays(self, graph):
+        g = build_from_pairs(*graph)
+        rows = g.edge_rows
+        for r, (a, b) in enumerate(RELATIONS):
+            mine = rows.relation == r
+            assert np.array_equal(rows.src[mine] - g.offsets[a], g.edge_src[r])
+            assert np.array_equal(rows.dst[mine] - g.offsets[b], g.edge_dst[r])
+            assert rows.wt[mine].tobytes() == g.edge_wt[r].tobytes()
+        assert np.all(np.diff(rows.relation) >= 0)  # relation-major
