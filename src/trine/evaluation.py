@@ -66,7 +66,6 @@ def make_link_dataset(g: TripartiteGraph, relation: int, neg_ratio: float,
         raise EvalError(
             f"relation too dense: need {n_neg} non-edges but only {n_free} exist"
         )
-    negatives: list[tuple[int, int]] = []
     if n_free <= 2 * n_neg:
         # Dense relation: enumerate the non-edges as row-major pair codes
         # and subsample exactly.
@@ -74,14 +73,20 @@ def make_link_dataset(g: TripartiteGraph, relation: int, neg_ratio: float,
         i, j = np.divmod(free[rng.choice(len(free), size=n_neg, replace=False)], nb)
         negatives = list(zip(i.tolist(), j.tolist()))
     else:
-        seen = set(positives)
-        while len(negatives) < n_neg:
-            i = int(rng.integers(na))
-            j = int(rng.integers(nb))
-            if (i, j) in seen:
-                continue
-            seen.add((i, j))
-            negatives.append((i, j))
+        # Rejection in blocks of pairs. integers() over the bounds (na, nb, na, nb, ...)
+        # returns what alternating scalar integers(na), integers(nb) calls would, and a
+        # pair counts at its first draw unless it is an edge or already taken, so the
+        # picks are those of drawing one pair at a time until n_neg are found.
+        taken = src * nb + dst
+        while len(taken) < len(positives) + n_neg:
+            missing = len(positives) + n_neg - len(taken)
+            k = missing * n_pairs // (n_pairs - len(taken)) + 1
+            i, j = rng.integers(np.tile([na, nb], k)).reshape(k, 2).T
+            codes = i * nb + j
+            fresh = codes[np.sort(np.unique(codes, return_index=True)[1])]
+            taken = np.concatenate([taken, fresh[~np.isin(fresh, taken)]])
+        i, j = np.divmod(taken[len(positives):len(positives) + n_neg], nb)
+        negatives = list(zip(i.tolist(), j.tolist()))
     pairs = positives + negatives
     labels = np.concatenate([np.ones(len(positives)), np.zeros(len(negatives))])
     return LinkDataset(relation, pairs, labels)
@@ -116,6 +121,11 @@ class LogisticModel:
         return 0.5 * (1.0 + np.tanh(0.5 * self.decision(X)))
 
 
+def _check_l2(l2: float) -> None:
+    if not (0 <= l2 < math.inf):
+        raise EvalError(f"l2 must be non-negative and finite, got {l2}")
+
+
 def train_classifier(X: np.ndarray, y: np.ndarray, l2: float = DEFAULT_L2,
                      tol: float = 1e-8, max_iter: int = 100) -> LogisticModel:
     """Fit logistic regression by damped Newton (IRLS) steps to a gradient-norm tolerance.
@@ -127,8 +137,7 @@ def train_classifier(X: np.ndarray, y: np.ndarray, l2: float = DEFAULT_L2,
     non-finite or so large that their Gram matrix overflows; logs a warning
     when ``max_iter`` is reached above ``tol``.
     """
-    if not (0 <= l2 < math.inf):
-        raise EvalError(f"l2 must be non-negative and finite, got {l2}")
+    _check_l2(l2)
     classes = np.unique(y)
     if len(classes) < 2:
         raise EvalError("classifier training set contains a single class")
@@ -325,8 +334,10 @@ def evaluate_end_to_end(g: TripartiteGraph, metapaths: list[Metapath], cfg: Trai
 
     The dataset and folds are fixed up front; for each fold the test-fold
     positive edges are removed from the graph before embedding training, so
-    the classifier is scored on links the embeddings never saw.
+    the classifier is scored on links the embeddings never saw. ``l2`` is
+    checked before any fold trains.
     """
+    _check_l2(l2)
     dataset = make_link_dataset(g, relation, neg_ratio, np.random.default_rng([cfg.seed, _DATASET_STREAM]))
     fold_of = kfold_split(dataset.labels, folds, np.random.default_rng([cfg.seed, _SPLIT_STREAM]))
     report = EvalReport(relation, folds, dataset.n_positive, dataset.n_negative)

@@ -1,4 +1,4 @@
-"""Weighted tripartite graph: loading, validation, and neighbor queries.
+"""Weighted tripartite graph: loading and neighbor queries.
 
 Nodes belong to one of three parties (0, 1, 2). Edges only connect nodes
 of different parties and are undirected. The three cross-party relations
@@ -15,8 +15,10 @@ neighbors of node ``i`` of party ``a`` in index order.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -133,17 +135,6 @@ class Metapath:
         return "".join(schema.type_chars[t] for t in self.types)
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of structural checks on a graph; empty violations = healthy."""
-
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 class EdgeRows(NamedTuple):
     """Every edge in global rows, relation-major, each relation's edges in stored order."""
 
@@ -167,7 +158,9 @@ class TripartiteGraph:
 
     ``edges`` gives per relation ``(src, dst, wt)`` arrays in any order, where
     ``src`` indexes the relation's first party (ValueError if out of range);
-    a repeated pair's weights are summed in input order. The graph stores
+    a repeated pair's weights are summed in input order. Every weight, and
+    every such sum, must be finite and positive (:class:`EdgeListError` if
+    not), so a built graph needs no later check. The graph stores
     them once, as ``edge_src`` / ``edge_dst`` / ``edge_wt`` sorted by (i, j)
     without repeats. From them it builds, once, the global layout
     ``offsets``, the same edges in global rows (``edge_rows``) and the
@@ -180,26 +173,33 @@ class TripartiteGraph:
         self.labels = labels
         self.counts = tuple(len(ls) for ls in labels)
         self.offsets = np.concatenate([[0], np.cumsum(self.counts)]).astype(np.int64)
-        self._index_of = {lab: Node(p, i) for p in range(N_PARTIES) for i, lab in enumerate(labels[p])}
         self.edge_src: list[np.ndarray] = []
         self.edge_dst: list[np.ndarray] = []
-        self.total_weight: list[float] = []
         wts = []
         for r, (a, b) in enumerate(RELATIONS):
             src, dst = np.asarray(edges[r][0], dtype=np.int64), np.asarray(edges[r][1], dtype=np.int64)
             bad = np.flatnonzero((src < 0) | (src >= self.counts[a]) | (dst < 0) | (dst >= self.counts[b]))
             if len(bad):
                 raise ValueError(f"edge ({r}, {src[bad[0]]}, {dst[bad[0]]}) outside party sizes {self.counts}")
+            wt = np.asarray(edges[r][2], dtype=np.float64)
+            bad = np.flatnonzero(~((wt > 0) & (wt < np.inf)))  # NaN fails wt > 0
+            if len(bad):
+                k = bad[0]
+                kind = "non-positive" if wt[k] <= 0 else "non-finite"
+                raise EdgeListError(f"edge {self._edge_label(r, src[k], dst[k])} has {kind} weight {wt[k]}")
             n_b = max(self.counts[b], 1)
             codes, inverse = np.unique(src * n_b + dst, return_inverse=True)
             # bincount sums each pair's weights in input order from 0.0 (int64 if empty)
-            wt = np.bincount(inverse, weights=np.asarray(edges[r][2], dtype=np.float64),
-                             minlength=len(codes)).astype(np.float64, copy=False)
+            wt = np.bincount(inverse, weights=wt, minlength=len(codes)).astype(np.float64, copy=False)
             src, dst = np.divmod(codes, n_b)
+            over = np.flatnonzero(wt == np.inf)
+            if len(over):
+                k = over[0]
+                raise EdgeListError(f"the weights of edge {self._edge_label(r, src[k], dst[k])} "
+                                    f"sum past float range")
             self.edge_src.append(src)
             self.edge_dst.append(dst)
             wts.append(wt)
-            self.total_weight.append(float(wt.sum()))
         sizes = [len(w) for w in wts]
         wt = np.concatenate(wts)
         # each weight is stored once: the per-relation arrays are views of the global one
@@ -222,6 +222,10 @@ class TripartiteGraph:
         self.adj = StackedAdjacency(base, indptr.astype(np.int64), nbrs[order],
                                     np.concatenate([wt, wt])[order])
 
+    def _edge_label(self, relation: int, i: int, j: int) -> str:
+        a, b = RELATIONS[relation]
+        return f"({self.labels[a][i]}, {self.labels[b][j]})"
+
     # -- queries ---------------------------------------------------------------
 
     @property
@@ -234,6 +238,10 @@ class TripartiteGraph:
 
     def label_of(self, node: Node) -> str:
         return self.labels[node.party][node.index]
+
+    @functools.cached_property
+    def _index_of(self) -> dict[str, Node]:
+        return {lab: Node(p, i) for p in range(N_PARTIES) for i, lab in enumerate(self.labels[p])}
 
     def node_of(self, label: str) -> Node:
         try:
@@ -257,14 +265,6 @@ class TripartiteGraph:
         lo, hi = self.adj.indptr[row], self.adj.indptr[row + 1]
         return self.adj.nbrs[lo:hi], self.adj.wts[lo:hi]
 
-    def _block(self, party: int, target: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Block ``(party, target)`` as parallel (row, neighbor, weight) arrays in storage order."""
-        first = self.adj.base[party, target]
-        indptr = self.adj.indptr[first:first + self.counts[party] + 1]
-        entries = slice(indptr[0], indptr[-1])
-        return (np.repeat(np.arange(self.counts[party]), np.diff(indptr)),
-                self.adj.nbrs[entries], self.adj.wts[entries])
-
     def neighbors(self, node: Node, target: int) -> list[tuple[Node, float]]:
         """The ``target``-party neighbors of ``node`` and edge weights, from :meth:`neighbor_arrays`."""
         idx, wt = self.neighbor_arrays(node.party, node.index, target)
@@ -286,45 +286,6 @@ class TripartiteGraph:
         keep = ~np.isin(src * n_b + dst, removed[:, 0] * n_b + removed[:, 1])
         edges[relation] = (src[keep], dst[keep], wt[keep])
         return TripartiteGraph(self.schema, self.labels, tuple(edges))
-
-    # -- validation ----------------------------------------------------------------
-
-    def validate(self) -> ValidationReport:
-        """Structural checks: symmetry, positive weights, consistent totals.
-
-        Vectorised, O(E log E): the symmetry check sorts the reverse block
-        into forward order and reports the first (i, j, w) row that differs.
-        """
-        report = ValidationReport()
-        for r, (a, b) in enumerate(RELATIONS):
-            wt = self.edge_wt[r]
-            if np.any(wt <= 0):
-                bad = int(np.argmax(wt <= 0))
-                report.violations.append(
-                    f"relation {RELATION_NAMES[r]}: non-positive weight {wt[bad]} on edge "
-                    f"({self.labels[a][int(self.edge_src[r][bad])]}, {self.labels[b][int(self.edge_dst[r][bad])]})"
-                )
-            total = float(wt.sum())
-            if not np.isclose(total, self.total_weight[r]):
-                report.violations.append(
-                    f"relation {RELATION_NAMES[r]}: stored total weight {self.total_weight[r]} "
-                    f"!= recomputed {total}"
-                )
-            # Symmetric view: forward and reverse adjacency must agree.
-            fwd_i, fwd_j, fwd_w = self._block(a, b)
-            rev_j, rev_i, rev_w = self._block(b, a)
-            order = np.lexsort((rev_j, rev_i))
-            rev_i, rev_j, rev_w = rev_i[order], rev_j[order], rev_w[order]
-            n = min(len(fwd_i), len(rev_i))
-            differ = (fwd_i[:n] != rev_i[:n]) | (fwd_j[:n] != rev_j[:n]) | (fwd_w[:n] != rev_w[:n])
-            if differ.any() or len(fwd_i) != len(rev_i):
-                k = int(np.argmax(differ)) if differ.any() else n
-                i, j = (fwd_i[k], fwd_j[k]) if k < len(fwd_i) else (rev_i[k], rev_j[k])
-                report.violations.append(
-                    f"relation {RELATION_NAMES[r]}: asymmetric adjacency at "
-                    f"({self.labels[a][i]}, {self.labels[b][j]})"
-                )
-        return report
 
 
 class GraphBuilder:
@@ -354,8 +315,11 @@ class GraphBuilder:
         self._intern(label)
 
     def add_edge(self, src_label: str, dst_label: str, weight: float = 1.0) -> None:
+        """Raises :class:`EdgeListError` on a weight that is not finite and positive."""
         if weight <= 0:
             raise EdgeListError(f"edge ({src_label}, {dst_label}) has non-positive weight {weight}")
+        if not math.isfinite(weight):
+            raise EdgeListError(f"edge ({src_label}, {dst_label}) has non-finite weight {weight}")
         u = self._intern(src_label)
         v = self._intern(dst_label)
         if u.party == v.party:
@@ -380,8 +344,10 @@ def load_edge_list(path, schema: Schema = DEFAULT_SCHEMA) -> TripartiteGraph:
     weight defaults to 1.0. A line holding a single label declares a node
     without edges, so graphs with isolated nodes survive a file round trip.
     Lines starting with ``#`` and blank lines are skipped. Raises
-    :class:`EdgeListError` with the line number on malformed input and
-    :class:`SchemaError` on unknown type prefixes.
+    :class:`EdgeListError` with the line number on malformed input or a
+    weight that is not finite and positive, and without one when a pair's
+    repeated weights sum past float range; :class:`SchemaError` on unknown
+    type prefixes.
     """
     builder = GraphBuilder(schema)
     with open(path, "r", encoding="utf-8") as fh:

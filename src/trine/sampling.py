@@ -63,8 +63,8 @@ class NegativeSampler:
     @classmethod
     def build(cls, typed: TypedCorpus, g: TripartiteGraph, power: float = DEFAULT_POWER,
               window: int = 5) -> "NegativeSampler":
-        if power <= 0:
-            raise ValueError(f"power must be positive, got {power}")
+        if not (0 < power < np.inf):
+            raise ValueError(f"power must be positive and finite, got {power}")
         tables = []
         for p in range(N_PARTIES):
             n = g.counts[p]

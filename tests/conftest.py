@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from trine.graph import GraphBuilder, build_from_pairs
+from trine.graph import RELATION_OF_PAIR, RELATIONS, GraphBuilder, build_from_pairs
 
 
 @pytest.fixture
@@ -45,3 +47,26 @@ def random_tripartite(rng, counts=(8, 6, 5), density=0.3, max_weight=4):
                 if rng.random() < density:
                     edges.append((r, i, j, float(rng.integers(1, max_weight + 1))))
     return build_from_pairs(counts, edges)
+
+
+def assert_blocks_list_the_edges(g):
+    """Each stacked block row lists its node's partners and weights from the edge arrays.
+
+    Both blocks of a relation are checked against the same edge arrays, so this
+    also shows the adjacency is symmetric.
+    """
+    for a, b in itertools.permutations(range(3), 2):
+        r = RELATION_OF_PAIR[(a, b)]
+        src, dst = g.edge_src[r], g.edge_dst[r]
+        mine, theirs = (src, dst) if RELATIONS[r][0] == a else (dst, src)
+        for i in range(g.counts[a]):
+            # stored edges are sorted by (i, j), so either side's partners come in index order
+            at = mine == i
+            idx, wt = g.neighbor_arrays(a, i, b)
+            assert idx.tolist() == theirs[at].tolist()
+            assert np.all(np.diff(idx) > 0)
+            assert wt.tobytes() == g.edge_wt[r][at].tobytes()
+            row = g.adj.base[a, b] + i
+            lo, hi = g.adj.indptr[row], g.adj.indptr[row + 1]
+            assert g.adj.nbrs[lo:hi].tolist() == idx.tolist()
+    assert g.adj.indptr[-1] == len(g.adj.nbrs) == len(g.adj.wts) == 2 * g.num_edges

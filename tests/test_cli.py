@@ -8,6 +8,8 @@ from trine.cli import RunConfig, _train_config, dump_config, main, parse_config,
 from trine.graph import load_edge_list
 from trine.trainer import TrainConfig
 
+from conftest import assert_blocks_list_the_edges
+
 
 def run_cli(*args):
     return main(list(args))
@@ -170,7 +172,7 @@ class TestSubcommands:
         g = load_edge_list(synth_edges)
         assert g.counts == (30, 12, 9)
         assert g.num_edges > 0
-        assert g.validate().ok
+        assert_blocks_list_the_edges(g)
 
     def test_synth_determinism(self, tmp_path):
         paths = []
@@ -264,5 +266,22 @@ class TestBadOptionValues:
         assert run_cli(subcommand, *inputs[subcommand], *option, "--quiet") == code
         err = capsys.readouterr().err
         assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1, err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestBadWeights:
+    @pytest.mark.parametrize("lines", [["u0 p0 1.0", "u1 p0 nan"], ["u0 p0 1.0", "u1 c0 inf"],
+                                       ["u0 p0 1e308", "p0 u0 1e308"]],
+                             ids=["nan", "inf", "summed overflow"])
+    @pytest.mark.parametrize("subcommand", ["train", "hits"])
+    def test_one_error_line_and_no_traceback(self, subcommand, lines, tmp_path, capsys):
+        edges = tmp_path / "bad.txt"
+        edges.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.txt"
+        capsys.readouterr()
+        assert run_cli(subcommand, "--edges", str(edges), "--out", str(out), "--quiet") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "weight" in err, err
         assert "Traceback" not in err
         assert not out.exists()

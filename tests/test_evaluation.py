@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trine.errors import EvalError
 from trine.evaluation import (EvalReport, auc_pr, auc_roc, evaluate, evaluate_end_to_end,
                               f1_score, kfold_split, make_link_dataset, train_classifier)
-from trine.graph import build_from_pairs
+from trine.graph import RELATIONS, build_from_pairs
 from trine.synth import planted_graph, random_graph
 from trine.trainer import TrainConfig, default_metapaths, init_embeddings
 
@@ -95,6 +97,22 @@ def solve_two_point_logistic(x1, x0, l2):
     return w, -w * (x1 + x0) / 2.0
 
 
+def rejection_negatives_loop(g, relation, n_neg, rng):
+    """Reference non-edge draws: one (integers(na), integers(nb)) pair at a time,
+    kept unless it is an edge or was drawn before, until there are n_neg."""
+    a, b = RELATIONS[relation]
+    seen = set(zip(g.edge_src[relation].tolist(), g.edge_dst[relation].tolist()))
+    negatives = []
+    while len(negatives) < n_neg:
+        i = int(rng.integers(g.counts[a]))
+        j = int(rng.integers(g.counts[b]))
+        if (i, j) in seen:
+            continue
+        seen.add((i, j))
+        negatives.append((i, j))
+    return negatives
+
+
 class TestMakeLinkDataset:
     def test_complete_relation_errors(self):
         g = build_from_pairs((2, 2, 0), [(0, i, j, 1.0) for i in range(2) for j in range(2)])
@@ -122,6 +140,22 @@ class TestMakeLinkDataset:
         g = build_from_pairs((3, 3, 0), [(0, 0, 0, 1.0), (0, 1, 1, 1.0), (0, 2, 2, 1.0)])
         ds = make_link_dataset(g, 0, 0.5, np.random.default_rng(3))
         assert ds.n_negative == 2  # ceil(1.5)
+
+    @given(st.tuples(st.integers(1, 30), st.integers(1, 30), st.integers(1, 30)),
+           st.integers(0, 2), st.data(), st.integers(0, 2**32 - 1), st.sampled_from([0.5, 1.0, 1.7]))
+    @settings(max_examples=200, deadline=None)
+    def test_rejection_draws_match_per_pair_loop(self, counts, relation, data, seed, ratio):
+        a, b = RELATIONS[relation]
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, counts[a] - 1), st.integers(0, counts[b] - 1)),
+                                   min_size=1, max_size=max(1, counts[a] * counts[b] // 3)))
+        n_pos = len(set(pairs))
+        n_neg = math.ceil(ratio * n_pos)
+        assume(counts[a] * counts[b] - n_pos > 2 * n_neg)  # the rejection branch
+        g = build_from_pairs(counts, [(relation, i, j, 1.0) for i, j in pairs])
+        ds = make_link_dataset(g, relation, ratio, np.random.default_rng(seed))
+        expected = rejection_negatives_loop(g, relation, n_neg, np.random.default_rng(seed))
+        assert ds.pairs[n_pos:] == expected
+        assert all(type(i) is int and type(j) is int for i, j in ds.pairs)
 
     @pytest.mark.parametrize("n_edges,expect_enumeration", [(8, True), (3, False)])
     def test_negatives_uniform_over_non_edges(self, n_edges, expect_enumeration):
@@ -402,6 +436,24 @@ class TestEndToEnd:
         assert sum(held_out) == n_pos  # every positive held out exactly once
         assert all(h >= 1 for h in held_out)
         assert len(report.auc_roc) == 3
+
+    @pytest.mark.parametrize("l2", [float("nan"), -1.0, float("inf")])
+    def test_bad_l2_fails_before_any_fold_trains(self, monkeypatch, l2):
+        import trine.evaluation as evaluation
+
+        real_train = evaluation.train
+        trained = []
+
+        def spy_train(graph, metapaths, cfg, **kwargs):
+            trained.append(graph)
+            return real_train(graph, metapaths, cfg, **kwargs)
+
+        monkeypatch.setattr(evaluation, "train", spy_train)
+        g = planted_graph((12, 8, 6), 2, 0.6, 0.1, seed=5)
+        cfg = TrainConfig(dim=4, epochs=1, seed=2, max_walks=1, walk_length=4)
+        with pytest.raises(EvalError, match="l2 must be non-negative and finite"):
+            evaluate_end_to_end(g, default_metapaths(), cfg, relation=2, folds=3, l2=l2)
+        assert trained == []
 
     def test_deterministic(self):
         g = planted_graph((12, 8, 6), 2, 0.6, 0.1, seed=6)

@@ -1,4 +1,4 @@
-import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trine.errors import EdgeListError, SchemaError
-from trine.graph import (RELATION_OF_PAIR, RELATIONS, GraphBuilder, Metapath, Node, Schema,
-                         TripartiteGraph, build_from_pairs, load_edge_list)
+from trine.graph import (RELATIONS, GraphBuilder, Metapath, Node, Schema, TripartiteGraph,
+                         build_from_pairs, load_edge_list)
 
-from conftest import random_tripartite
+from conftest import assert_blocks_list_the_edges, random_tripartite
 from test_degenerate import tiny_graphs
 
 
@@ -24,7 +24,7 @@ class TestLoader:
         g = load_edge_list(path)
         assert g.counts == (1, 1, 1)
         assert g.num_edges == 3
-        assert g.total_weight == [2.0, 0.5, 1.0]
+        assert [w.sum() for w in g.edge_wt] == [2.0, 0.5, 1.0]
 
     def test_duplicate_edges_sum_weights(self, write_edges):
         path = write_edges("u1 p1 1.0", "u1 p1 2.0")
@@ -35,12 +35,12 @@ class TestLoader:
             a, b, w = line.split()
             raw[frozenset((a, b))] = raw.get(frozenset((a, b)), 0.0) + float(w)
         assert g.num_edges == len(raw) == 1
-        assert g.total_weight[0] == raw[frozenset(("u1", "p1"))] == 3.0
+        assert g.edge_wt[0].sum() == raw[frozenset(("u1", "p1"))] == 3.0
 
     def test_reversed_duplicate_merges(self, write_edges):
         g = load_edge_list(write_edges("u1 p1 1.0", "p1 u1 2.5"))
         assert g.num_edges == 1
-        assert g.total_weight[0] == 3.5
+        assert g.edge_wt[0].sum() == 3.5
 
     def test_malformed_line_reports_number(self, write_edges):
         path = write_edges("u1 p1", "u2 p2 not-a-number")
@@ -65,7 +65,7 @@ class TestLoader:
 
     def test_missing_weight_defaults_to_one(self, write_edges):
         g = load_edge_list(write_edges("u1 p1"))
-        assert g.total_weight[0] == 1.0
+        assert g.edge_wt[0].sum() == 1.0
 
     def test_edge_count_equals_distinct_pairs(self, write_edges):
         rng = np.random.default_rng(4)
@@ -127,28 +127,34 @@ class TestNeighbors:
                         assert back[Node(a, i)] == w
 
 
-class TestValidate:
+# (weight, what the error calls it)
+BAD_WEIGHTS = [(0.0, "non-positive"), (-1.0, "non-positive"), (-math.inf, "non-positive"),
+               (math.nan, "non-finite"), (math.inf, "non-finite")]
+
+
+class TestWeights:
+    """The constructor checks every weight and every summed weight; nothing checks later."""
+
     def test_well_formed(self, schema_graph):
-        assert schema_graph.validate().ok
+        assert_blocks_list_the_edges(schema_graph)
 
-    def test_injected_asymmetry(self, schema_graph):
-        g = schema_graph
-        first = g.adj.indptr[g.adj.base[0, 1]]  # the (0, 1) block's first entry
-        g.adj.wts[first] += 1.0  # forward weight no longer matches the reverse block
-        report = g.validate()
-        assert any("asymmetric" in v for v in report.violations)
+    @pytest.mark.parametrize("weight,kind", BAD_WEIGHTS, ids=[str(w) for w, _ in BAD_WEIGHTS])
+    def test_build_from_pairs_rejects_bad_weight(self, weight, kind):
+        with pytest.raises(EdgeListError, match=rf"edge \(u1, c0\) has {kind} weight {weight}"):
+            build_from_pairs((2, 1, 1), [(0, 0, 0, 1.0), (2, 1, 0, weight)])
 
-    def test_injected_zero_weight(self, schema_graph):
-        g = schema_graph
-        g.edge_wt[0][0] = 0.0
-        report = g.validate()
-        assert any("non-positive weight" in v for v in report.violations)
+    @pytest.mark.parametrize("weight,kind", BAD_WEIGHTS, ids=[str(w) for w, _ in BAD_WEIGHTS])
+    def test_loader_rejects_bad_weight_on_its_line(self, write_edges, weight, kind):
+        path = write_edges("u0 p0 1.0", f"c0 u1 {weight}")
+        with pytest.raises(EdgeListError, match=rf"line 2: edge \(c0, u1\) has {kind} weight"):
+            load_edge_list(path)
 
-    def test_injected_total_mismatch(self, schema_graph):
-        g = schema_graph
-        g.total_weight[0] += 5.0
-        report = g.validate()
-        assert any("total weight" in v for v in report.violations)
+    def test_summed_weight_past_float_range_rejected(self, write_edges):
+        # each weight is finite, but a pair's repeats sum to inf
+        with pytest.raises(EdgeListError, match=r"weights of edge \(u0, p1\) sum past float range"):
+            build_from_pairs((1, 2, 0), [(0, 0, 0, 1.0), (0, 0, 1, 1e308), (0, 0, 1, 1e308)])
+        with pytest.raises(EdgeListError, match=r"^the weights of edge \(u0, p0\) sum past float range"):
+            load_edge_list(write_edges("u0 p0 1e308", "p0 u0 1e308"))
 
 
 class TestMetapath:
@@ -190,13 +196,21 @@ class TestDerivedGraphs:
         assert g2.counts == g.counts
         assert g2.num_edges == g.num_edges - 1
         assert g2.labels == g.labels
-        assert g2.validate().ok
+        assert_blocks_list_the_edges(g2)
+
+    def test_node_of_on_derived_graph(self, schema_graph):
+        g2 = schema_graph.without_edges(0, [(0, 0)])
+        for p in range(3):
+            for i, label in enumerate(g2.labels[p]):
+                assert g2.node_of(label) == Node(p, i)
+        with pytest.raises(KeyError, match="unknown node label 'u9'"):
+            g2.node_of("u9")
 
     def test_empty_relation_tolerated(self):
         g = build_from_pairs((2, 2, 2), [(0, 0, 0, 1.0), (1, 0, 0, 1.0)])
-        assert g.total_weight[2] == 0.0
+        assert len(g.edge_wt[2]) == 0
         assert g.neighbors(Node(0, 0), 2) == []
-        assert g.validate().ok
+        assert_blocks_list_the_edges(g)
 
 
 class TestBuilder:
@@ -257,7 +271,7 @@ class TestCanonicalEdges:
         g = b.build()
         index_edges = [(r, g.node_of(u).index, g.node_of(v).index, w) for r, u, v, w in labelled]
         _assert_matches(g, _summed_oracle(index_edges))
-        assert g.validate().ok
+        assert_blocks_list_the_edges(g)
 
     @given(_edge_draws)
     @settings(max_examples=200, deadline=None)
@@ -282,7 +296,7 @@ class TestCanonicalEdges:
             assert np.array_equal(g2.edge_src[r], g.edge_src[r][keep])
             assert np.array_equal(g2.edge_dst[r], g.edge_dst[r][keep])
             assert g2.edge_wt[r].tobytes() == g.edge_wt[r][keep].tobytes()
-        assert g2.validate().ok
+        assert_blocks_list_the_edges(g2)
 
 
 class TestGlobalLayout:
@@ -296,21 +310,7 @@ class TestGlobalLayout:
         counts, edges = graph
         g = build_from_pairs(counts, edges)
         assert g.offsets.tolist() == [0, counts[0], counts[0] + counts[1], sum(counts)]
-        for a, b in itertools.permutations(range(3), 2):
-            r = RELATION_OF_PAIR[(a, b)]
-            src, dst = g.edge_src[r], g.edge_dst[r]
-            mine, theirs = (src, dst) if RELATIONS[r][0] == a else (dst, src)
-            for i in range(counts[a]):
-                # stored edges are sorted by (i, j), so either side's partners come in index order
-                at = mine == i
-                idx, wt = g.neighbor_arrays(a, i, b)
-                assert idx.tolist() == theirs[at].tolist()
-                assert np.all(np.diff(idx) > 0)
-                assert wt.tobytes() == g.edge_wt[r][at].tobytes()
-                row = g.adj.base[a, b] + i
-                lo, hi = g.adj.indptr[row], g.adj.indptr[row + 1]
-                assert g.adj.nbrs[lo:hi].tolist() == idx.tolist()
-        assert g.adj.indptr[-1] == len(g.adj.nbrs) == len(g.adj.wts) == 2 * g.num_edges
+        assert_blocks_list_the_edges(g)
 
     @given(tiny_graphs())
     @settings(max_examples=200, deadline=None)

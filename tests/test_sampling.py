@@ -114,6 +114,12 @@ class TestBuildSampler:
         probs = sampler.table_probabilities(0)
         assert probs[0] / probs[1] == pytest.approx(16 ** 0.75)  # = 8
 
+    @pytest.mark.parametrize("power", [0.0, -1.0, float("nan"), float("inf")])
+    def test_power_must_be_positive_and_finite(self, power):
+        g = build_from_pairs((2, 1, 0), [(0, 0, 0, 1.0), (0, 1, 0, 1.0)])
+        with pytest.raises(ValueError, match="power must be positive and finite"):
+            NegativeSampler.build(typed_corpus(seqs_u=[[0, 1]]), g, power=power, window=2)
+
     def test_empty_corpus_uniform_fallback(self, caplog):
         g = build_from_pairs((3, 1, 0), [(0, i, 0, 1.0) for i in range(3)])
         with caplog.at_level("WARNING"):
