@@ -48,8 +48,9 @@ class NegativeSampler:
     its code, and the draws of many centres by one search. Whether
     ``c`` belongs to its own bucket (it co-occurs with itself in a window) is
     kept apart in ``self_in_bucket``. Each node's admissible mass is computed
-    once, at build time. The tables' last cumulative entry is pinned to 1.0,
-    so a uniform draw in [0, 1) always lands on a node.
+    once, at build time. The tables' cumulative entries are pinned to 1.0
+    from the last node with mass on, so a uniform draw in [0, 1) always
+    lands on a node with mass.
     """
 
     # Below this admissible probability mass, rejection is replaced by exact
@@ -200,12 +201,13 @@ class NegativeSampler:
         draw. Every row follows the law of :meth:`sample`, and a single centre
         consumes the generator as :meth:`sample` does, up to the same error.
         Centres on the restricted table draw first, ``ns`` uniforms each in
-        centre order. The others draw in rejection rounds: a round draws, for
-        each centre in order, as many uniforms as the centre still misses,
-        tests all their codes against the exclusion rows with one search, and
-        keeps the admissible draws in order; rejected draws are redrawn in the
-        next round. Raises :class:`SamplerError` for a centre without
-        admissible negatives, or for a centre that has made
+        centre order, and one joint search (:func:`_search_rows`) looks all
+        of them up in their tables. The others draw in rejection rounds: a
+        round draws, for each centre in order, as many uniforms as the centre
+        still misses, tests all their codes against the exclusion rows with
+        one search, and keeps the admissible draws in order; rejected draws
+        are redrawn in the next round. Raises :class:`SamplerError` for a
+        centre without admissible negatives, or for a centre that has made
         ``_MAX_ATTEMPTS_PER_SAMPLE * ns`` draws without filling its row.
         """
         centers = np.asarray(centers, dtype=np.int64)
@@ -222,8 +224,8 @@ class NegativeSampler:
             tables, slot = self._restricted_tables(party)
             rows = np.flatnonzero(restricted)
             u = rng.random((len(rows), ns))
-            for k, c in enumerate(centers[rows].tolist()):
-                out[rows[k]] = tables[slot[c]].searchsorted(u[k], side="right")
+            drawn = _search_rows(tables, np.repeat(slot[centers[rows]], ns), u.ravel())
+            out[rows] = drawn.reshape(u.shape)
 
         rows = np.flatnonzero(~restricted)
         codes = centers[rows] * len(t.probs)  # each centre's code offset
@@ -265,8 +267,36 @@ def _out_of_attempts(center: Node, ns: int, attempts: int) -> SamplerError:
     )
 
 
+def _search_rows(tables: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``tables[rows[k]].searchsorted(u[k], side="right")`` for every ``k``, by one joint binary search.
+
+    ``tables`` holds sorted rows of at least one entry. ``pos[k]`` counts the
+    entries of row ``rows[k]`` known to be ``<= u[k]``; each step tries to
+    advance every draw by the same power of two, halving it from the largest
+    one not above the row length. So a call takes about log2(row length)
+    array operations over the draws, and no more memory than a few arrays of
+    their length.
+    """
+    n = tables.shape[1]
+    flat = tables.ravel()
+    last = rows * n - 1  # flat index of the entry before each row's first
+    pos = np.zeros(len(u), dtype=np.int64)
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        nxt = pos + step
+        pos = np.where((nxt <= n) & (flat.take(last + np.minimum(nxt, n)) <= u), nxt, pos)
+        step >>= 1
+    return pos
+
+
 def _pinned(cum: np.ndarray) -> np.ndarray:
-    """Set a cumulative table's last entry to exactly 1.0, in place."""
+    """Set a cumulative table to exactly 1.0 from its last node with mass on, in place.
+
+    That node is the first whose entry reaches the table's final sum, which
+    rounding can leave just below 1.0. So a uniform draw in [0, 1) always
+    lands on a node with mass, never on the zero-mass (or excluded) nodes
+    after it.
+    """
     if len(cum):
-        cum[-1] = 1.0
+        cum[cum.searchsorted(cum[-1]):] = 1.0
     return cum

@@ -17,7 +17,9 @@ but a party with fewer nodes than a batch has endpoints still gets several
 summed gradients per row in every batch. A skip-gram pair, in a batch or in
 the fixed loss-evaluation draw, is a centre, a context row (the partner,
 then negatives from one :meth:`NegativeSampler.sample_many` call per party)
-and a mask of live entries, all made by :func:`_with_negatives`.
+and a mask of live entries, all made by :func:`_with_negatives`. A
+:func:`train` call makes the batch kernel's large buffers once, sized for
+the largest batch its settings allow, and every batch reuses them.
 """
 
 from __future__ import annotations
@@ -277,18 +279,52 @@ def implicit_update(store: EmbeddingStore, center: Node, context: Node,
     _check_finite(v, ctx_mat[zs])
 
 
-def _scatter_add(mat: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """``mat[rows] += vals`` with a repeated row getting the sum of its values; returns the rows hit."""
+class _Scratch(NamedTuple):
+    """The batch kernel's large buffers, made once per :func:`train` call.
+
+    A batch writes its largest temporaries into leading views of these, so
+    that they are not handed back to the OS and faulted in again batch after
+    batch. ``gathered`` holds the ``ctx`` row of each context entry,
+    ``grads`` each entry's gradient and ``cells`` the flat cell indices of
+    :func:`_scatter_add`.
+    """
+
+    gathered: np.ndarray
+    grads: np.ndarray
+    cells: np.ndarray
+
+    @classmethod
+    def of(cls, cfg: TrainConfig, edges: int) -> "_Scratch":
+        """Buffers for batches of at most ``edges`` edges under ``cfg``.
+
+        The ``2 * edges`` endpoints each make at most ``2 * cfg.window``
+        pairs, and a pair has ``1 + cfg.negatives`` context entries of
+        ``cfg.dim`` values. ``cells`` also covers the embedding scatter's
+        rows: both endpoints of every edge, then every centre.
+        """
+        pairs = 2 * edges * 2 * cfg.window
+        entries = pairs * (1 + cfg.negatives)
+        return cls(np.empty((entries, cfg.dim)), np.empty((entries, cfg.dim)),
+                   np.empty(max(entries, 2 * edges + pairs) * cfg.dim, dtype=np.int64))
+
+
+def _scatter_add(mat: np.ndarray, rows: np.ndarray, vals: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """``mat[rows] += vals`` with a repeated row getting the sum of its values; returns the rows hit.
+
+    The flat cell indices are written into the leading ``len(rows) * dim``
+    entries of ``cells``.
+    """
     hit, inverse = np.unique(rows, return_inverse=True)
     dim = mat.shape[1]
-    cells = (inverse[:, None] * dim + np.arange(dim)).ravel()
+    cells = cells[:len(rows) * dim]
+    np.add((inverse * dim)[:, None], np.arange(dim), out=cells.reshape(-1, dim))
     mat[hit] += np.bincount(cells, weights=vals.ravel(), minlength=len(hit) * dim).reshape(-1, dim)
     return hit
 
 
 def _minibatch_step(emb: np.ndarray, ctx: np.ndarray, src: np.ndarray, dst: np.ndarray,
                     edge_step: np.ndarray, centers: np.ndarray, contexts: np.ndarray,
-                    pair_step: np.ndarray) -> None:
+                    pair_step: np.ndarray, scratch: _Scratch) -> None:
     """One minibatch of explicit and implicit updates on flat (nodes, dim) matrices.
 
     Edge ``k`` joins rows ``src[k]`` and ``dst[k]`` of ``emb`` at step
@@ -298,19 +334,24 @@ def _minibatch_step(emb: np.ndarray, ctx: np.ndarray, src: np.ndarray, dst: np.n
     window partner first and then the negatives, at steps ``pair_step[k]``
     (lr times alpha), as :func:`implicit_update` does; an entry at step 0
     changes nothing. All gradients are taken at the batch-start state and
-    summed per row. Raises :class:`NonFiniteError` if a touched row becomes
-    non-finite.
+    summed per row. The largest temporaries (the context rows, their
+    gradients and the scatter's cell indices) go to ``scratch``, which must
+    be large enough for the batch. Raises
+    :class:`NonFiniteError` if a touched row becomes non-finite.
     """
     u, v = emb[src], emb[dst]
     g = (edge_step * (1.0 - _sigmoid_vec(np.einsum("ij,ij->i", u, v))))[:, None]
-    e, c = emb[centers], ctx[contexts]
+    e = emb[centers]
+    shape = (*contexts.shape, emb.shape[1])
+    # mode="clip" lets take write into out directly; "raise" would buffer it
+    c = ctx.take(contexts, axis=0, mode="clip", out=scratch.gathered[:contexts.size].reshape(shape))
     indicator = np.zeros(contexts.shape[1])
     indicator[0] = 1.0
     coef = pair_step * (indicator - _sigmoid_vec((c @ e[:, :, None])[:, :, 0]))
     hit_emb = _scatter_add(emb, np.concatenate([src, dst, centers]),
-                           np.concatenate([g * v, g * u, (coef[:, None, :] @ c)[:, 0]]))
-    hit_ctx = _scatter_add(ctx, contexts.ravel(),
-                           (coef[:, :, None] * e[:, None, :]).reshape(-1, e.shape[1]))
+                           np.concatenate([g * v, g * u, (coef[:, None, :] @ c)[:, 0]]), scratch.cells)
+    grads = np.multiply(coef[:, :, None], e[:, None, :], out=scratch.grads[:contexts.size].reshape(shape))
+    hit_ctx = _scatter_add(ctx, contexts.ravel(), grads, scratch.cells)
     if not (np.isfinite(emb[hit_emb]).all() and np.isfinite(ctx[hit_ctx]).all()):
         raise _non_finite()
 
@@ -486,6 +527,7 @@ def train(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
     coef = cfg.gamma * np.asarray(cfg.beta)[edges.relation] * edges.wt
     no_pairs = (np.zeros(0, dtype=np.int64), np.zeros((0, 1 + cfg.negatives), dtype=np.int64),
                 np.zeros((0, 1 + cfg.negatives)))
+    scratch = _Scratch.of(cfg, min(_BATCH_EDGES, len(coef)))
 
     total_steps = max(1, cfg.epochs * len(coef))
     step = 0
@@ -512,7 +554,7 @@ def train(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
                         sampler, cfg.negatives, rng)
                     pairs.append((centers + g.offsets[p], contexts + g.offsets[p], pair_step))
                 _minibatch_step(emb, ctx, edges.src[batch], edges.dst[batch], lr * coef[batch],
-                                *map(np.concatenate, zip(*pairs)))
+                                *map(np.concatenate, zip(*pairs)), scratch)
         except NonFiniteError as exc:
             log.error("training diverged in epoch %d (%s); returning last finite checkpoint", epoch, exc)
             return _store_of(*checkpoint, g)

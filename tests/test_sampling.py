@@ -307,3 +307,62 @@ class TestSampleMany:
             assert not np.isin(mine, excluded).any()
             sigma = np.sqrt(expected * (1 - expected) / len(mine))
             assert np.all(np.abs(freq - expected) <= 4 * sigma + 1e-12), c
+
+
+class _TopDraw:
+    """A stand-in generator whose every uniform is 1 - 2**-53, the largest double below 1."""
+
+    def random(self, size=None):
+        return np.full(size, 1.0 - 2.0 ** -53)
+
+
+class TestTopDraw:
+    """A uniform just below 1 where rounding left a table's sum just below 1.0."""
+
+    def _draws(self, seqs, center):
+        g = build_from_pairs((5, 1, 0), [(0, i, 0, 1.0) for i in range(5)])
+        sampler = NegativeSampler.build(typed_corpus(seqs_u=seqs), g, window=1)
+        one = sampler.sample(Node(0, center), 3, _TopDraw())
+        many = sampler.sample_many(0, np.array([center, center]), 3, _TopDraw())
+        return sampler, one, many.tolist()
+
+    def test_party_table_never_gives_a_trailing_zero_mass_node(self):
+        # node 4 never occurs; the masses of nodes 0-3 sum to 1 - 2**-53
+        sampler, one, many = self._draws([[0], [1], [2]] + [[3]] * 5, 0)
+        probs = sampler.table_probabilities(0)
+        assert probs[4] == 0.0 and np.cumsum(probs)[3] < 1.0
+        assert sampler.available_mass(Node(0, 0)) >= NegativeSampler._REJECTION_MIN_MASS
+        assert one == [3] * 3 and many == [[3] * 3] * 2
+
+    def test_restricted_table_never_gives_an_excluded_last_node(self):
+        # centre 0 co-occurs with the heavy nodes 3 and 4, so it draws from its
+        # restricted table, whose admissible masses (nodes 1 and 2) sum to 1 - 2**-53
+        sampler, one, many = self._draws([[3, 0, 4], [1], [2]] + [[3]] * 10 + [[4]] * 11, 0)
+        assert sampler.exclusion_bucket(Node(0, 0)) == {3, 4}
+        assert sampler.available_mass(Node(0, 0)) < NegativeSampler._REJECTION_MIN_MASS
+        probs = sampler.table_probabilities(0)
+        probs[[0, 3, 4]] = 0.0
+        assert np.cumsum(probs / probs.sum())[2] < 1.0
+        assert one == [2] * 3 and many == [[2] * 3] * 2
+
+
+class TestSearchRows:
+    """The joint binary search against each row's own ``searchsorted``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.one_of(st.sampled_from([1, 2, 3, 5, 57, 64]), st.integers(1, 80)),
+           rows=st.one_of(st.just(1), st.integers(1, 60)),
+           zero_share=st.sampled_from([0.0, 0.5, 0.9]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_each_rows_searchsorted(self, n, rows, zero_share, seed):
+        rng = np.random.default_rng(seed)
+        # zeroed masses make runs of equal cumulative values
+        mass = rng.random((rows, n)) * (rng.random((rows, n)) >= zero_share)
+        tables = np.cumsum(mass, axis=1) / np.maximum(mass.sum(axis=1, keepdims=True), 1e-300)
+        for row in tables:
+            sampling._pinned(row)
+        # 0, every table entry, the largest double below 1, and plain uniforms
+        u = np.concatenate([[0.0, 1.0 - 2.0 ** -53], tables.ravel(), rng.random(50)])
+        which = rng.integers(rows, size=len(u))
+        got = sampling._search_rows(tables, which, u)
+        expected = [tables[r].searchsorted(x, side="right") for r, x in zip(which.tolist(), u.tolist())]
+        assert got.tolist() == expected

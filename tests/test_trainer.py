@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +11,8 @@ from trine.graph import DEFAULT_SCHEMA, Edge, Node, build_from_pairs
 from trine.sampling import NegativeSampler
 from trine.synth import planted_graph
 from trine import trainer
-from trine.trainer import (EmbeddingStore, TrainConfig, _INIT_STREAM, _minibatch_step, _store_of,
+from trine.trainer import (EmbeddingStore, TrainConfig, _BATCH_EDGES, _INIT_STREAM, _Scratch,
+                           _minibatch_step, _non_finite, _sigmoid_vec, _store_of,
                            compute_loss, default_metapaths,
                            explicit_update, implicit_update, init_embeddings,
                            load_embeddings, save_embeddings, sigmoid, train)
@@ -16,6 +20,30 @@ from trine.walks import TypedCorpus, window_pairs
 
 from conftest import random_tripartite
 from test_sampling import brute_force_pairs
+
+# Minor page faults of `train` on the acceptance graph at test_trained_auc's
+# settings, for n epochs (once unmeasured, since the first call touches fresh
+# heap), then for n and for 2n epochs; tol is too small for an early stop.
+_FAULTS_SCRIPT = """
+import resource, sys
+from trine.synth import planted_graph
+from trine.trainer import TrainConfig, default_metapaths, train
+
+g = planted_graph((300, 60, 30), 3, 0.3, 0.02, seed=1)
+
+def faults(epochs):
+    cfg = TrainConfig(dim=32, epochs=epochs, lr=0.05, max_walks=3, walk_length=16, tol=1e-12, seed=1)
+    reported = []
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(g, default_metapaths(), cfg, on_epoch=lambda epoch, loss: reported.append(epoch))
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert reported == list(range(epochs + 1)), reported
+    return after - before
+
+n = int(sys.argv[1])
+faults(n)
+print(g.num_edges, faults(n), faults(2 * n))
+"""
 
 
 def make_store(counts, dim, rng, scale=1.0):
@@ -253,7 +281,34 @@ def run_batch(emb, ctx, edges=(), pairs=(), negatives=2):
     centers = np.array([c for c, _, _ in pairs], dtype=np.int64)
     contexts = np.array([z for _, z, _ in pairs], dtype=np.int64).reshape(-1, width)
     pair_step = np.array([[s] * width for _, _, s in pairs], dtype=float).reshape(-1, width)
-    _minibatch_step(emb, ctx, src, dst, edge_step, centers, contexts, pair_step)
+    # batches of len(edges) + len(pairs) edges allow at least len(pairs) pairs
+    scratch = _Scratch.of(TrainConfig(dim=emb.shape[1], negatives=negatives, window=1),
+                          len(edges) + len(pairs))
+    _minibatch_step(emb, ctx, src, dst, edge_step, centers, contexts, pair_step, scratch)
+
+
+def reference_scatter_add(mat, rows, vals):
+    hit, inverse = np.unique(rows, return_inverse=True)
+    dim = mat.shape[1]
+    cells = (inverse[:, None] * dim + np.arange(dim)).ravel()
+    mat[hit] += np.bincount(cells, weights=vals.ravel(), minlength=len(hit) * dim).reshape(-1, dim)
+    return hit
+
+
+def reference_minibatch_step(emb, ctx, src, dst, edge_step, centers, contexts, pair_step):
+    """The batch kernel with a fresh array for every temporary: the reference for the one on buffers."""
+    u, v = emb[src], emb[dst]
+    g = (edge_step * (1.0 - _sigmoid_vec(np.einsum("ij,ij->i", u, v))))[:, None]
+    e, c = emb[centers], ctx[contexts]
+    indicator = np.zeros(contexts.shape[1])
+    indicator[0] = 1.0
+    coef = pair_step * (indicator - _sigmoid_vec((c @ e[:, :, None])[:, :, 0]))
+    hit_emb = reference_scatter_add(emb, np.concatenate([src, dst, centers]),
+                                    np.concatenate([g * v, g * u, (coef[:, None, :] @ c)[:, 0]]))
+    hit_ctx = reference_scatter_add(ctx, contexts.ravel(),
+                                    (coef[:, :, None] * e[:, None, :]).reshape(-1, e.shape[1]))
+    if not (np.isfinite(emb[hit_emb]).all() and np.isfinite(ctx[hit_ctx]).all()):
+        raise _non_finite()
 
 
 def assert_stores_close(a, b, atol=1e-12):
@@ -345,6 +400,44 @@ class TestMinibatchStep:
         emb[first[1]] = np.inf
         with pytest.raises(NonFiniteError):
             run_batch(emb, ctx, [(first[0], first[1], 0.1)])
+
+
+class TestScratch:
+    """The kernel on one set of buffers, batch after batch, against the allocating reference."""
+
+    cfg = TrainConfig(dim=5, window=2, negatives=3)
+    edges = 6  # at most 2 * 6 endpoints, each with at most 4 partners: 48 pairs
+
+    def _batch(self, rng, n_edges, n_pairs, nodes, step=0.05):
+        width = 1 + self.cfg.negatives
+        pair_step = step * rng.random((n_pairs, width)) * (rng.random((n_pairs, width)) < 0.8)
+        return (rng.integers(nodes, size=n_edges), rng.integers(nodes, size=n_edges),
+                step * rng.random(n_edges), rng.integers(nodes, size=n_pairs),
+                rng.integers(nodes, size=(n_pairs, width)), pair_step)
+
+    def test_growing_and_shrinking_batches_match_the_reference(self):
+        rng = np.random.default_rng(41)
+        emb, ctx, _, _ = flat_store((9, 7, 5), self.cfg.dim, rng)
+        ref_emb, ref_ctx = emb.copy(), ctx.copy()
+        scratch = _Scratch.of(self.cfg, self.edges)
+        most = 2 * self.edges * 2 * self.cfg.window
+        # (edges, pairs): the largest batch, smaller ones over its stale data,
+        # batches without implicit pairs (train's no_pairs), and growth again
+        for n_edges, n_pairs in [(6, most), (1, 3), (4, 0), (6, 20), (2, most // 2), (6, 0),
+                                 (3, 1), (6, most), (5, 7)]:
+            batch = self._batch(rng, n_edges, n_pairs, len(emb))
+            reference_minibatch_step(ref_emb, ref_ctx, *batch)
+            _minibatch_step(emb, ctx, *batch, scratch)
+            assert emb.tobytes() == ref_emb.tobytes()
+            assert ctx.tobytes() == ref_ctx.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_diverging_batch_raises(self):
+        rng = np.random.default_rng(42)
+        emb, ctx, _, _ = flat_store((9, 7, 5), self.cfg.dim, rng, scale=1e3)
+        scratch = _Scratch.of(self.cfg, self.edges)
+        with pytest.raises(NonFiniteError):
+            _minibatch_step(emb, ctx, *self._batch(rng, 6, 40, len(emb), step=1e305), scratch)
 
 
 class TestPairHelpers:
@@ -545,6 +638,20 @@ class TestTrain:
         assert len(losses) == cfg.epochs + 1
         assert all(b > a for a, b in zip(losses, losses[1:])), losses
         assert max(np.abs(m).max() for m in store.emb + store.ctx) < 10.0
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
+    def test_batches_do_not_fault_in_fresh_memory(self):
+        # Allocating the kernel's megabyte temporaries per batch cost about 575
+        # minor faults a batch here: the allocator gave them back to the OS and
+        # faulted them in again. A child process keeps the count free of what
+        # earlier tests did to the allocator's thresholds.
+        n = 2
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT, str(n)], capture_output=True,
+                             text=True, timeout=300, check=True, env=env)
+        n_edges, once, twice = map(int, out.stdout.split())
+        extra_batches = n * -(-n_edges // _BATCH_EDGES)
+        assert (twice - once) / extra_batches < 57.5, (once, twice, extra_batches)
 
     def test_config_validation(self):
         non_finite = (math.nan, math.inf, -math.inf)
