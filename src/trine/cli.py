@@ -3,6 +3,11 @@
 Configuration precedence is flag > config file > built-in default. Config
 files are line-oriented ``key = value`` text with ``#`` comments; keys match
 the long flag names with underscores.
+
+Each option is declared once, as a ``RunConfig`` field: its default, help
+text and subcommands. The field's annotation selects one ``_Kind``, which
+parses the option's flag and its config-file value alike and writes it back
+for ``--save-config``.
 """
 
 from __future__ import annotations
@@ -10,7 +15,9 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 from . import centrality, evaluation, synth
 from .centrality import hits
@@ -25,6 +32,29 @@ log = logging.getLogger("trine")
 
 _TRAIN = TrainConfig()
 
+_SUBCOMMANDS = {
+    "train": "learn embeddings and write them to a file",
+    "walks": "write the metapath-guided walk corpus",
+    "hits": "print HITS centrality, highest first",
+    "evaluate": "cross-validated link prediction from an embedding file",
+    "e2e": "leakage-safe train + evaluate per fold",
+    "synth": "generate a planted-community benchmark graph",
+}
+_EVERY = tuple(_SUBCOMMANDS)
+_ON_GRAPH = ("train", "walks", "hits", "evaluate", "e2e")
+_WALKING = ("train", "walks", "e2e")
+_TRAINING = ("train", "e2e")
+_SCORING = ("evaluate", "e2e")
+
+
+def _option(default, subcommands: tuple[str, ...], help: str, **flag):
+    """A RunConfig field that is the flag ``--<name>`` (dashes for underscores) of ``subcommands``.
+
+    ``flag`` holds further ``add_argument`` settings; ``choices`` is checked
+    on config-file values too.
+    """
+    return field(default=default, metadata={"subcommands": subcommands, "help": help, **flag})
+
 
 @dataclass
 class RunConfig:
@@ -34,49 +64,56 @@ class RunConfig:
     evaluation) is read from there, so each is written once.
     """
 
-    edges: str | None = None
-    out: str | None = None
-    embeddings: str | None = None
-    report: str | None = None
-    metapath: tuple[str, ...] = tuple(m.describe() for m in default_metapaths())
-    type_chars: str = "".join(DEFAULT_SCHEMA.type_chars)
-    dim: int = _TRAIN.dim
-    alpha1: float = _TRAIN.alpha[0]
-    alpha2: float = _TRAIN.alpha[1]
-    alpha3: float = _TRAIN.alpha[2]
-    beta1: float = _TRAIN.beta[0]
-    beta2: float = _TRAIN.beta[1]
-    beta3: float = _TRAIN.beta[2]
-    lr: float = _TRAIN.lr
-    gamma: float = _TRAIN.gamma
-    negatives: int = _TRAIN.negatives
-    window: int = _TRAIN.window
-    walk_length: int = _TRAIN.walk_length
-    min_walks: int = _TRAIN.min_walks
-    max_walks: int = _TRAIN.max_walks
-    walk_scale: float | None = _TRAIN.walk_scale
-    power: float = _TRAIN.power
-    epochs: int = _TRAIN.epochs
-    tol: float = _TRAIN.tol
-    seed: int = _TRAIN.seed
-    lr_decay: bool = _TRAIN.lr_decay
-    relation: str = "13"
-    folds: int = evaluation.DEFAULT_FOLDS
-    neg_ratio: float = evaluation.DEFAULT_NEG_RATIO
-    l2: float = evaluation.DEFAULT_L2
-    max_iter: int = centrality.DEFAULT_MAX_ITER
-    hits_tol: float = centrality.DEFAULT_TOL
-    users: int = 300
-    tags: int = 60
-    items: int = 30
-    communities: int = 3
-    p_in: float = 0.3
-    p_out: float = 0.02
-    activity_spread: float = synth.DEFAULT_ACTIVITY_SPREAD
+    edges: str | None = _option(None, _ON_GRAPH, "edge-list file")
+    out: str | None = _option(None, ("train", "walks", "hits", "synth"),
+                              "output file: embeddings (train; context vectors go to <out>.ctx), "
+                              "walks, HITS scores (default stdout) or the synth edge list")
+    embeddings: str | None = _option(None, ("evaluate",), "embedding file from `train`")
+    report: str | None = _option(None, _SCORING, "write key = value metrics here")
+    metapath: tuple[str, ...] = _option(tuple(m.describe() for m in default_metapaths()), _WALKING,
+                                        "metapath as type chars (repeatable, or comma-separated)")
+    type_chars: str = _option("".join(DEFAULT_SCHEMA.type_chars), _EVERY,
+                              "three label prefixes, e.g. upc")
+    dim: int = _option(_TRAIN.dim, _TRAINING, "embedding dimension")
+    alpha1: float = _option(_TRAIN.alpha[0], _TRAINING, "implicit weight, party 1")
+    alpha2: float = _option(_TRAIN.alpha[1], _TRAINING, "implicit weight, party 2")
+    alpha3: float = _option(_TRAIN.alpha[2], _TRAINING, "implicit weight, party 3")
+    beta1: float = _option(_TRAIN.beta[0], _TRAINING, "explicit weight, relation 1")
+    beta2: float = _option(_TRAIN.beta[1], _TRAINING, "explicit weight, relation 2")
+    beta3: float = _option(_TRAIN.beta[2], _TRAINING, "explicit weight, relation 3")
+    lr: float = _option(_TRAIN.lr, _TRAINING, "SGD learning rate")
+    gamma: float = _option(_TRAIN.gamma, _TRAINING, "explicit-gradient scale")
+    negatives: int = _option(_TRAIN.negatives, _TRAINING, "negative samples per pair")
+    window: int = _option(_TRAIN.window, _TRAINING, "skip-gram window size")
+    walk_length: int = _option(_TRAIN.walk_length, _WALKING, "walk length")
+    min_walks: int = _option(_TRAIN.min_walks, _WALKING, "fewest walks per start node")
+    max_walks: int = _option(_TRAIN.max_walks, _WALKING, "most walks per start node")
+    walk_scale: float | None = _option(_TRAIN.walk_scale, _WALKING,
+                                       "walk-budget scale, or auto for the node count")
+    power: float = _option(_TRAIN.power, _TRAINING, "negative-table exponent")
+    epochs: int = _option(_TRAIN.epochs, _TRAINING, "training epochs")
+    tol: float = _option(_TRAIN.tol, _TRAINING, "relative loss-change stop")
+    seed: int = _option(_TRAIN.seed, _EVERY, "global RNG seed")
+    lr_decay: bool = _option(_TRAIN.lr_decay, _TRAINING, "decay the learning rate linearly")
+    relation: str = _option("13", _SCORING, "target relation (party pair)", choices=RELATION_NAMES)
+    folds: int = _option(evaluation.DEFAULT_FOLDS, _SCORING, "cross-validation folds")
+    neg_ratio: float = _option(evaluation.DEFAULT_NEG_RATIO, _SCORING,
+                               "negatives per positive link")
+    l2: float = _option(evaluation.DEFAULT_L2, _SCORING, "classifier L2 penalty")
+    max_iter: int = _option(centrality.DEFAULT_MAX_ITER, ("hits",), "most HITS iterations")
+    hits_tol: float = _option(centrality.DEFAULT_TOL, ("hits",), "HITS convergence tolerance")
+    users: int = _option(300, ("synth",), "user count")
+    tags: int = _option(60, ("synth",), "tag count")
+    items: int = _option(30, ("synth",), "item count")
+    communities: int = _option(3, ("synth",), "planted communities")
+    p_in: float = _option(0.3, ("synth",), "link probability inside a community")
+    p_out: float = _option(0.02, ("synth",), "link probability across communities")
+    activity_spread: float = _option(synth.DEFAULT_ACTIVITY_SPREAD, ("synth",),
+                                     "heavy-to-casual user activity ratio")
 
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
+def _boolean(text: str) -> bool:
+    t = text.lower()
     if t in ("true", "1", "yes"):
         return True
     if t in ("false", "0", "no"):
@@ -84,36 +121,47 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_optional_float(text: str):
-    t = text.strip().lower()
-    return None if t in ("auto", "none") else float(t)
+def float_or_auto(text: str) -> float | None:
+    return None if text.strip().lower() in ("auto", "none") else float(text)
 
 
-def _parse_metapaths(text: str) -> tuple[str, ...]:
+def _comma_list(text: str) -> tuple[str, ...]:
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
-_PARSERS = {
-    str: lambda t: t.strip(),
-    int: lambda t: int(t.strip()),
-    float: lambda t: float(t.strip()),
-    bool: _parse_bool,
+class _Concat(argparse.Action):
+    """A repeatable flag whose value is the concatenation of every use's tuple."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, getattr(namespace, self.dest, ()) + values)
+
+
+class _Kind(NamedTuple):
+    parse: Callable[[str], object]   # flag or config-file text -> value
+    format: Callable[[object], str]  # value -> text that ``parse`` maps back to it
+    flag: dict                       # how argparse takes the flag
+
+
+def _kind(parse, format=str, **flag) -> _Kind:
+    return _Kind(parse, format, flag or {"type": parse})
+
+
+_KINDS = {
+    str: _kind(str),
+    str | None: _kind(str),
+    int: _kind(int),
+    float: _kind(float, repr),
+    float | None: _kind(float_or_auto, repr),
+    # a switch: the flag turns it on, a config file says true or false
+    bool: _kind(_boolean, lambda v: "true" if v else "false", action="store_const", const=True),
+    tuple[str, ...]: _kind(_comma_list, ",".join, type=_comma_list, action=_Concat),
 }
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+_KIND = {name: _KINDS[hint] for name, hint in typing.get_type_hints(RunConfig).items()}
 
 
-def _field_parser(name: str):
-    if name == "metapath":
-        return _parse_metapaths
-    if name == "walk_scale":
-        return _parse_optional_float
-    for f in fields(RunConfig):
-        if f.name == name:
-            if f.type in ("str | None",):
-                return _PARSERS[str]
-            for py_type, fn in _PARSERS.items():
-                if f.type == py_type.__name__:
-                    return fn
-    return None
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def read_config_file(path) -> dict:
@@ -126,15 +174,19 @@ def read_config_file(path) -> dict:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
+            key, _, text = line.partition("=")
             key = key.strip()
-            parser = _field_parser(key)
-            if parser is None:
+            if key not in _FIELDS:
                 raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
             try:
-                values[key] = parser(value)
+                value = _KIND[key].parse(text.strip())
             except ValueError as exc:
                 raise ConfigError(f"{path}:{line_no}: bad value for {key}: {exc}") from None
+            choices = _FIELDS[key].metadata.get("choices")
+            if choices is not None and value not in choices:
+                raise ConfigError(f"{path}:{line_no}: bad value for {key}: {value!r} is not one of "
+                                  + ", ".join(choices))
+            values[key] = value
     return values
 
 
@@ -144,134 +196,37 @@ def dump_config(cfg: RunConfig) -> str:
     Fields holding None are omitted (absent key = default None on reparse).
     """
     lines = []
-    for f in sorted(fields(RunConfig), key=lambda f: f.name):
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        if f.name == "metapath":
-            text = ",".join(value)
-        elif isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = f"{value:.9g}"
-        else:
-            text = str(value)
-        lines.append(f"{f.name} = {text}")
+    for name in sorted(_KIND):
+        value = getattr(cfg, name)
+        if value is not None:
+            lines.append(f"{name} = {_KIND[name].format(value)}")
     return "\n".join(lines) + "\n"
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key = value config file (flags override it)")
-    p.add_argument("--save-config", dest="save_config", help="write the effective config here")
-    p.add_argument("--seed", type=int, help="global RNG seed")
-    p.add_argument("--quiet", action="store_true", help="only warnings and errors")
-
-
-def _add_graph_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--edges", help="edge-list file")
-    p.add_argument("--type-chars", dest="type_chars", help="three label prefixes, e.g. upc")
-
-
-def _add_walk_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--metapath", action="append", help="metapath as type chars (repeatable)")
-    p.add_argument("--walk-length", dest="walk_length", type=int)
-    p.add_argument("--min-walks", dest="min_walks", type=int)
-    p.add_argument("--max-walks", dest="max_walks", type=int)
-    p.add_argument("--walk-scale", dest="walk_scale", type=float)
-
-
-def _add_train_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dim", type=int, help="embedding dimension")
-    p.add_argument("--window", type=int, help="skip-gram window size")
-    p.add_argument("--negatives", type=int, help="negative samples per pair")
-    p.add_argument("--power", type=float, help="negative-table exponent")
-    p.add_argument("--lr", type=float, help="SGD learning rate")
-    p.add_argument("--lr-decay", dest="lr_decay", action="store_const", const=True)
-    p.add_argument("--gamma", type=float, help="explicit-gradient scale")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--tol", type=float, help="relative loss-change stop")
-    for i in (1, 2, 3):
-        p.add_argument(f"--alpha{i}", type=float, help=f"implicit weight, party {i}")
-        p.add_argument(f"--beta{i}", type=float, help=f"explicit weight, relation {i}")
-
-
-def _add_eval_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--relation", choices=RELATION_NAMES, help="target relation (party pair)")
-    p.add_argument("--folds", type=int)
-    p.add_argument("--neg-ratio", dest="neg_ratio", type=float)
-    p.add_argument("--l2", type=float, help="classifier L2 penalty")
-    p.add_argument("--report", help="write key = value metrics here")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="trine",
                                      description="Tripartite network embedding and link prediction")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("train", help="learn embeddings and write them to a file")
-    _add_graph_opts(p)
-    _add_walk_opts(p)
-    _add_train_opts(p)
-    p.add_argument("--out", help="embedding output file (context vectors go to <out>.ctx)")
-    _add_common(p)
-
-    p = sub.add_parser("walks", help="write the metapath-guided walk corpus")
-    _add_graph_opts(p)
-    _add_walk_opts(p)
-    p.add_argument("--out", help="walks output file")
-    _add_common(p)
-
-    p = sub.add_parser("hits", help="print HITS centrality, highest first")
-    _add_graph_opts(p)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--hits-tol", dest="hits_tol", type=float)
-    p.add_argument("--out", help="write scores here instead of stdout")
-    _add_common(p)
-
-    p = sub.add_parser("evaluate", help="cross-validated link prediction from an embedding file")
-    _add_graph_opts(p)
-    p.add_argument("--embeddings", help="embedding file from `train`")
-    _add_eval_opts(p)
-    _add_common(p)
-
-    p = sub.add_parser("e2e", help="leakage-safe train + evaluate per fold")
-    _add_graph_opts(p)
-    _add_walk_opts(p)
-    _add_train_opts(p)
-    _add_eval_opts(p)
-    _add_common(p)
-
-    p = sub.add_parser("synth", help="generate a planted-community benchmark graph")
-    p.add_argument("--users", type=int)
-    p.add_argument("--tags", type=int)
-    p.add_argument("--items", type=int)
-    p.add_argument("--communities", type=int)
-    p.add_argument("--p-in", dest="p_in", type=float)
-    p.add_argument("--p-out", dest="p_out", type=float)
-    p.add_argument("--activity-spread", dest="activity_spread", type=float)
-    p.add_argument("--type-chars", dest="type_chars")
-    p.add_argument("--out", help="edge-list output file")
-    _add_common(p)
-
+    for command, about in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        for name, f in _FIELDS.items():
+            opts = dict(f.metadata)
+            if command in opts.pop("subcommands"):
+                # SUPPRESS leaves a flag not given out of the namespace, so
+                # a flag can set any value, None included, over the file's
+                p.add_argument(_flag(name), default=argparse.SUPPRESS, **opts, **_KIND[name].flag)
+        p.add_argument("--config", help="key = value config file (flags override it)")
+        p.add_argument("--save-config", help="write the effective config here")
+        p.add_argument("--quiet", action="store_true", help="only warnings and errors")
     return parser
 
 
 def parse_config(argv: list[str]) -> tuple[str, RunConfig, dict]:
     """Parse argv into (subcommand, effective RunConfig, meta options)."""
     ns = build_parser().parse_args(argv)
-    file_values = read_config_file(ns.config) if getattr(ns, "config", None) else {}
-    known = {f.name for f in fields(RunConfig)}
-    merged = dict(file_values)
-    for key, value in vars(ns).items():
-        if key in known and value is not None:
-            merged[key] = tuple(value) if key == "metapath" else value
-    cfg = RunConfig(**merged)
-    meta = {
-        "save_config": getattr(ns, "save_config", None),
-        "quiet": bool(getattr(ns, "quiet", False)),
-        "config": getattr(ns, "config", None),
-    }
-    return ns.subcommand, cfg, meta
+    values = read_config_file(ns.config) if ns.config else {}
+    values.update((key, value) for key, value in vars(ns).items() if key in _FIELDS)
+    return ns.subcommand, RunConfig(**values), {"save_config": ns.save_config, "quiet": ns.quiet}
 
 
 def _schema(cfg: RunConfig) -> Schema:
@@ -292,7 +247,7 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
 def _require(cfg: RunConfig, *names: str) -> None:
     for name in names:
         if getattr(cfg, name) is None:
-            raise ConfigError(f"missing required option --{name.replace('_', '-')}")
+            raise ConfigError(f"missing required option {_flag(name)}")
 
 
 def _load_graph(cfg: RunConfig) -> TripartiteGraph:

@@ -1,10 +1,15 @@
+import argparse
 import inspect
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trine import centrality, evaluation
-from trine.cli import RunConfig, _train_config, dump_config, main, parse_config, read_config_file
+from trine.cli import (RunConfig, _train_config, build_parser, dump_config, main, parse_config,
+                       read_config_file)
 from trine.graph import load_edge_list
 from trine.trainer import TrainConfig
 
@@ -32,6 +37,34 @@ def synth_edges(tmp_path):
                    "--seed", "5", "--out", str(path), "--quiet")
     assert code == 0
     return path
+
+
+# Every subcommand's flags as they stood before the options were declared in
+# RunConfig: each flag's dest is its name with underscores, --relation alone
+# has choices, and --lr-decay and --quiet take no value.
+_META = ["--config", "--save-config", "--seed", "--quiet"]
+_GRAPH = ["--edges", "--type-chars"]
+_WALK = ["--metapath", "--walk-length", "--min-walks", "--max-walks", "--walk-scale"]
+_TRAIN = ["--dim", "--window", "--negatives", "--power", "--lr", "--lr-decay", "--gamma",
+          "--epochs", "--tol", "--alpha1", "--beta1", "--alpha2", "--beta2", "--alpha3", "--beta3"]
+_EVAL = ["--relation", "--folds", "--neg-ratio", "--l2", "--report"]
+SUBCOMMAND_FLAGS = {
+    "train": _GRAPH + _WALK + _TRAIN + ["--out"] + _META,
+    "walks": _GRAPH + _WALK + ["--out"] + _META,
+    "hits": _GRAPH + ["--max-iter", "--hits-tol", "--out"] + _META,
+    "evaluate": _GRAPH + ["--embeddings"] + _EVAL + _META,
+    "e2e": _GRAPH + _WALK + _TRAIN + _EVAL + _META,
+    "synth": ["--users", "--tags", "--items", "--communities", "--p-in", "--p-out",
+              "--activity-spread", "--type-chars", "--out"] + _META,
+}
+FLAG_CHOICES = {"--relation": ("12", "23", "13")}
+SWITCHES = {"--lr-decay", "--quiet"}
+
+
+def subparsers() -> dict:
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
 
 
 # (subcommand, bad option, exit status): 2 for a ConfigError, 1 for an EvalError
@@ -97,6 +130,73 @@ class TestParseConfig:
     def test_metapath_repeatable_flag(self):
         _, cfg, _ = parse_config(["walks", "--metapath", "upu", "--metapath", "cpc"])
         assert cfg.metapath == ("upu", "cpc")
+
+    def test_walk_scale_flag_auto_overrides_file(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("walk_scale = 2\n")
+        _, cfg, _ = parse_config(["train", "--config", str(conf)])
+        assert cfg.walk_scale == 2.0
+        _, cfg, _ = parse_config(["train", "--config", str(conf), "--walk-scale", "auto"])
+        assert cfg.walk_scale is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_dump_round_trips_every_float(self, tmp_path_factory, data):
+        floats = [f.name for f in fields(RunConfig) if isinstance(getattr(RunConfig(), f.name), float)
+                  or f.name == "walk_scale"]
+        values = data.draw(st.fixed_dictionaries(
+            {name: st.floats(allow_nan=False, allow_infinity=False) for name in floats}))
+        cfg = RunConfig(**values)
+        conf = tmp_path_factory.mktemp("dump") / "dump.conf"
+        conf.write_text(dump_config(cfg))
+        assert RunConfig(**read_config_file(conf)) == cfg
+
+
+class TestOptionTable:
+    def test_every_subcommand_keeps_its_flags(self):
+        subs = subparsers()
+        assert list(subs) == list(SUBCOMMAND_FLAGS)
+        for name, parser in subs.items():
+            actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+            assert sorted(a.option_strings[0] for a in actions) == sorted(SUBCOMMAND_FLAGS[name]), name
+            for a in actions:
+                flag = a.option_strings[0]
+                assert a.option_strings == [flag]
+                assert a.dest == flag[2:].replace("-", "_")
+                assert (tuple(a.choices) if a.choices else None) == FLAG_CHOICES.get(flag), flag
+                assert (a.nargs == 0) == (flag in SWITCHES), flag
+
+    def test_every_field_parses_equal_from_flag_and_file(self, tmp_path):
+        samples = {int: "7", float: "0.375", str: "abc"}
+        conf = tmp_path / "one.conf"
+        subs = subparsers()
+        for f in fields(RunConfig):
+            flag = "--" + f.name.replace("_", "-")
+            taking = [name for name, p in subs.items() if flag in p._option_string_actions]
+            assert taking, f"{f.name} is reachable from no subcommand"
+            default = getattr(RunConfig(), f.name)
+            if f.name == "lr_decay":
+                flag_args, text = [flag], "true"
+            elif f.name == "metapath":
+                flag_args, text = [flag, "upu", flag, "cpc"], "upu,cpc"
+            else:
+                kind = float if f.name == "walk_scale" else type(default) if default is not None else str
+                text = FLAG_CHOICES[flag][0] if flag in FLAG_CHOICES else samples[kind]
+                flag_args = [flag, text]
+            conf.write_text(f"{f.name} = {text}\n")
+            for sub in taking:
+                _, from_flag, _ = parse_config([sub, *flag_args])
+                _, from_file, _ = parse_config([sub, "--config", str(conf)])
+                assert from_flag == from_file != RunConfig(), (sub, f.name)
+
+    @pytest.mark.parametrize("subcommand", list(SUBCOMMAND_FLAGS))
+    def test_help_lists_every_flag(self, subcommand, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(subcommand, "--help")
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for flag in SUBCOMMAND_FLAGS[subcommand]:  # in the usage line, with or without a metavar
+            assert f"[{flag} " in out or f"[{flag}]" in out, flag
 
 
 class TestDefaults:
@@ -268,6 +368,25 @@ class TestBadOptionValues:
         assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1, err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["relation = 31", "relation = 1 3", "dim = lots",
+                                      "lr_decay = maybe"])
+    @pytest.mark.parametrize("subcommand", ["evaluate", "e2e"])
+    def test_bad_config_file_value(self, subcommand, line, synth_edges, tmp_path, capsys,
+                                   request):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(line + "\n")
+        report = tmp_path / "report.txt"
+        inputs = ["--edges", str(synth_edges)]
+        if subcommand == "evaluate":
+            inputs += ["--embeddings", str(request.getfixturevalue("embeddings"))]
+        capsys.readouterr()
+        code = run_cli(subcommand, *inputs, "--config", str(conf), "--report", str(report), "--quiet")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1, err
+        assert "Traceback" not in err
+        assert not report.exists()
 
 
 class TestBadWeights:
