@@ -30,7 +30,6 @@ class CentralityScores:
     hub: np.ndarray
     authority: np.ndarray
     offsets: np.ndarray
-    degenerate: bool = False
 
     def of(self, node: Node) -> float:
         return float(self.authority[self.offsets[node.party] + node.index])
@@ -53,7 +52,7 @@ def hits(g: TripartiteGraph, max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFA
     if n == 0 or len(wt) == 0:
         log.warning("HITS on a graph with no edges: all scores are zero")
         zeros = np.zeros(n)
-        return CentralityScores(zeros, zeros.copy(), g.offsets, degenerate=True)
+        return CentralityScores(zeros, zeros.copy(), g.offsets)
 
     def matvec(x):
         y = np.zeros(n)

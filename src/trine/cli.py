@@ -190,17 +190,33 @@ def read_config_file(path) -> dict:
     return values
 
 
+def _texts(cfg: RunConfig) -> dict[str, str]:
+    """Each field's config-file text, by key; fields holding None are omitted."""
+    return {name: _KIND[name].format(getattr(cfg, name)) for name in sorted(_KIND)
+            if getattr(cfg, name) is not None}
+
+
 def dump_config(cfg: RunConfig) -> str:
     """Render the effective configuration so it re-parses to an equal RunConfig.
 
     Fields holding None are omitted (absent key = default None on reparse).
     """
-    lines = []
-    for name in sorted(_KIND):
-        value = getattr(cfg, name)
-        if value is not None:
-            lines.append(f"{name} = {_KIND[name].format(value)}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{name} = {text}\n" for name, text in _texts(cfg).items())
+
+
+def save_config(cfg: RunConfig, path) -> None:
+    """Write ``dump_config(cfg)`` to ``path``.
+
+    ConfigError, and no file, if a value's text would not read back as
+    itself: ``read_config_file`` ends a value at ``#`` or a line break and
+    strips blanks around it.
+    """
+    for name, text in _texts(cfg).items():
+        if any(c in text for c in "#\n\r") or text != text.strip():
+            raise ConfigError(f"cannot save {name} = {text!r}: a config-file value cannot hold "
+                              "'#' or a line break, or start or end with blanks")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dump_config(cfg))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,7 +242,10 @@ def parse_config(argv: list[str]) -> tuple[str, RunConfig, dict]:
     ns = build_parser().parse_args(argv)
     values = read_config_file(ns.config) if ns.config else {}
     values.update((key, value) for key, value in vars(ns).items() if key in _FIELDS)
-    return ns.subcommand, RunConfig(**values), {"save_config": ns.save_config, "quiet": ns.quiet}
+    cfg = RunConfig(**values)
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
+    return ns.subcommand, cfg, {"save_config": ns.save_config, "quiet": ns.quiet}
 
 
 def _schema(cfg: RunConfig) -> Schema:
@@ -357,10 +376,9 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
-    if meta["save_config"]:
-        with open(meta["save_config"], "w", encoding="utf-8") as fh:
-            fh.write(dump_config(cfg))
     try:
+        if meta["save_config"]:
+            save_config(cfg, meta["save_config"])
         return run(subcommand, cfg)
     except TrineError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,8 @@
-"""Metapath-guided random-walk corpus generation and per-type filtering."""
+"""Metapath-guided random-walk corpus generation and per-type filtering.
+
+Walks draw from counter-based streams (Salmon et al., SC 2011) that end in
+SplitMix64's output function (Steele, Lea & Flood, OOPSLA 2014).
+"""
 
 from __future__ import annotations
 
@@ -9,15 +13,16 @@ from functools import cached_property
 import numpy as np
 
 from .centrality import CentralityScores, walk_budget
-from .graph import N_PARTIES, Metapath, Node, StackedAdjacency, TripartiteGraph
+from .graph import N_PARTIES, Metapath, Node, TripartiteGraph
 
 log = logging.getLogger(__name__)
 
 # Stream tag separating walk randomness from other seeded consumers.
 _WALK_STREAM = 101
 
-# Walks advanced together; bounds the random words and step scratch held at once.
-_WALK_BLOCK = 8_192
+# SplitMix64's increment, 2**64 / golden ratio, and the mask of a 64-bit limb.
+_GOLDEN = 0x9E3779B97F4A7C15
+_MASK64 = 2**64 - 1
 
 
 @dataclass
@@ -174,66 +179,41 @@ def _type_table(metapaths: list[Metapath], width: int) -> np.ndarray:
                     dtype=np.int8).reshape(len(metapaths), width)
 
 
-def _words(keys: list[list[int]], n_words: int) -> np.ndarray:
-    """The first ``2 * n_words`` 32-bit draws of each key's ``default_rng`` stream (uint64).
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function, in place on a uint64 array (Steele, Lea & Flood, 2014)."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
 
-    numpy serves a 64-bit word's low half first, then its high half.
+
+def _walk_keys(seed: int, *fields: np.ndarray) -> np.ndarray:
+    """Each walk's stream key (uint64), hashed from the seed, ``_WALK_STREAM`` and ``fields``.
+
+    A seed of any size counts as its number of 64-bit limbs, then the limbs,
+    lowest first; ``fields`` are arrays of non-negative ints, one entry per walk.
     """
-    raw = np.empty((len(keys), n_words), dtype=np.uint64)
-    if n_words:
-        for k, key in enumerate(keys):
-            raw[k] = np.random.default_rng(key).bit_generator.random_raw(n_words)
-    return np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=2).reshape(len(keys), 2 * n_words)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    limbs = [seed >> shift & _MASK64 for shift in range(0, max(seed.bit_length(), 1), 64)]
+    # a one-element array, not a numpy scalar: scalar uint64 overflow warns
+    key = np.zeros(1, dtype=np.uint64)
+    for v in (len(limbs), *limbs, _WALK_STREAM, *fields):
+        key = _mix((key ^ np.asarray(v, dtype=np.uint64)) + _GOLDEN)
+    return key
 
 
-def _lemire(x: np.ndarray, deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's ``Generator.integers(deg)`` from one 32-bit draw ``x`` (uint64 arrays, deg >= 2).
-
-    Returns the pick ``(x * deg) >> 32`` and whether numpy rejects ``x``
-    and draws again.
-    """
-    m = x * deg
-    return m >> 32, (m & 0xFFFFFFFF) < (np.uint64(1 << 32) - deg) % deg
+def _draw(keys: np.ndarray, step: int) -> np.ndarray:
+    """The 64-bit draw of each stream at ``step``: SplitMix64's ``step``-th output from ``keys``."""
+    return _mix(keys + step * _GOLDEN % 2**64)
 
 
-def _advance(adj: StackedAdjacency, base: np.ndarray, limit: np.ndarray, mid: np.ndarray,
-             words: np.ndarray, nodes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Advance a block of walks together, one step at a time, from ``nodes[:, 0]``.
-
-    Walk ``k`` follows metapath ``mid[k]`` up to ``limit[mid[k]]`` nodes, and
-    at ``step`` it moves along the adjacency whose rows start at
-    ``base[mid[k], step]``. ``words[k]`` holds its stream's 32-bit draws, of
-    which each step takes what ``metapath_walk``'s ``integers`` call takes:
-    none at a node with one neighbor, else one. Fills ``nodes`` and
-    ``lengths`` in place and returns the walks with a draw that numpy would
-    reject; they are left part-way, to be walked again.
-    """
-    cur = nodes[:, 0].astype(np.int64)
-    used = np.zeros(len(nodes), dtype=np.int64)
-    rows = np.arange(len(nodes))
-    rejected = []
-    for step in range(1, nodes.shape[1]):
-        rows = rows[limit[mid[rows]] > step]
-        at = base[mid[rows], step] + cur[rows]
-        first = adj.indptr[at]
-        deg = adj.indptr[at + 1] - first
-        rows, first, deg = rows[deg > 0], first[deg > 0], deg[deg > 0].astype(np.uint64)
-        if not len(rows):
-            break
-        pick = np.zeros(len(rows), dtype=np.uint64)
-        many = np.flatnonzero(deg > 1)
-        drawn = rows[many]
-        pick[many], bad = _lemire(words[drawn, used[drawn]], deg[many])
-        used[drawn] += 1
-        if bad.any():
-            rejected.append(drawn[bad])
-            keep = np.ones(len(rows), dtype=bool)
-            keep[many[bad]] = False
-            rows, first, pick = rows[keep], first[keep], pick[keep]
-        cur[rows] = adj.nbrs[first + pick.astype(np.int64)]
-        nodes[rows, step] = cur[rows]
-        lengths[rows] = step + 1
-    return np.concatenate(rejected) if rejected else rows[:0]
+def _pick(x: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """``floor(x * deg / 2**64)``, exactly, for uint64 draws ``x`` and degrees ``deg < 2**32``."""
+    deg = deg.astype(np.uint64)
+    return ((x >> 32) * deg + ((x & 0xFFFFFFFF) * deg >> 32)) >> 32
 
 
 def generate_corpus(g: TripartiteGraph, metapaths: list[Metapath], scores: CentralityScores,
@@ -242,14 +222,15 @@ def generate_corpus(g: TripartiteGraph, metapaths: list[Metapath], scores: Centr
     """Launch centrality-budgeted walks from every node, per matching metapath.
 
     Walks are laid out by start party, start index, metapath and walk index.
-    Each (node, metapath, walk index) triple gets its own RNG stream derived
-    from the global seed, so the corpus is reproducible and independent of
-    generation order. Blocks of ``_WALK_BLOCK`` walks advance together, each
-    walk taking the draws ``metapath_walk`` takes from its stream, so the
-    walks are ``metapath_walk``'s; a walk with a draw that numpy rejects is
-    walked again by ``metapath_walk``. ``scale=None`` resolves to the
-    graph's node count, so budgets stay within min/max for typical score
-    magnitudes.
+    Each walk draws from its own counter-based stream: the walk with
+    metapath ``m``, start ``(party, index)`` and walk index ``w`` has the key
+    ``_walk_keys(seed, m, party, index, w)``, and at ``step`` it moves to
+    neighbor ``floor(x * deg / 2**64)`` of the ``deg`` its metapath admits,
+    ``x`` being SplitMix64's ``step``-th output from that key. So the corpus
+    is reproducible and independent of generation order; all walks advance
+    together, one step at a time. A walk stops at a dead end or where its
+    metapath would repeat a party. ``scale=None`` resolves to the graph's
+    node count, so budgets stay within min/max for typical score magnitudes.
     """
     if not metapaths:
         raise ValueError("need at least one metapath")
@@ -268,7 +249,7 @@ def generate_corpus(g: TripartiteGraph, metapaths: list[Metapath], scores: Centr
                     "those nodes get no walk context", names)
 
     # Each walk's (metapath, start party, start index, walk index), in corpus order.
-    keys = []
+    fields = []
     for party in range(N_PARTIES):
         budget = walk_budget(scores.authority[g.offsets[party]:g.offsets[party + 1]], min_walks,
                              max_walks, scale)
@@ -278,8 +259,8 @@ def generate_corpus(g: TripartiteGraph, metapaths: list[Metapath], scores: Centr
         # j ranks a walk among its start node's: metapath ms[j // budget], walk index j % budget
         j = np.arange(len(index)) - np.repeat(np.cumsum(per_node) - per_node, per_node)
         b = budget[index]
-        keys.append((ms[j // b], np.full(len(index), party), index, j % b))
-    mid, party, index, w = (np.concatenate(k) for k in zip(*keys))
+        fields.append((ms[j // b], np.full(len(index), party), index, j % b))
+    mid, party, index, w = (np.concatenate(f) for f in zip(*fields))
 
     # A walk ends where its metapath would repeat a party (across the pattern's wrap-around).
     types = _type_table(metapaths, length)
@@ -294,19 +275,18 @@ def generate_corpus(g: TripartiteGraph, metapaths: list[Metapath], scores: Centr
     nodes = np.full((len(mid), width), -1, dtype=np.int32)
     nodes[:, 0] = index
     lengths = np.ones(len(mid), dtype=np.int32)
-    for lo in range(0, len(mid), _WALK_BLOCK):
-        block = slice(lo, lo + _WALK_BLOCK)
-        block_keys = [[seed, _WALK_STREAM, *k] for k in zip(
-            mid[block].tolist(), party[block].tolist(), index[block].tolist(), w[block].tolist())]
-        # a walk takes at most width - 1 draws
-        words = _words(block_keys, width // 2)
-        for k in _advance(g.adj, base, limit, mid[block], words, nodes[block], lengths[block]).tolist():
-            _, _, m, p, i, _ = block_keys[k]
-            walk = metapath_walk(g, Node(p, i), metapaths[m], length,
-                                 np.random.default_rng(block_keys[k]))
-            # the walk extends its part-way prefix, so the -1 padding past it stays
-            nodes[lo + k, :len(walk)] = [n.index for n in walk]
-            lengths[lo + k] = len(walk)
+    keys = _walk_keys(seed, mid, party, index, w)
+    rows = np.arange(len(mid))
+    for step in range(1, width):
+        rows = rows[limit[mid[rows]] > step]
+        at = base[mid[rows], step] + nodes[rows, step - 1]
+        first = g.adj.indptr[at]
+        deg = g.adj.indptr[at + 1] - first
+        rows, first, deg = rows[deg > 0], first[deg > 0], deg[deg > 0]
+        if not len(rows):
+            break
+        nodes[rows, step] = g.adj.nbrs[first + _pick(_draw(keys[rows], step), deg).astype(np.int64)]
+        lengths[rows] = step + 1
     return WalkCorpus(nodes, lengths, mid.astype(np.int32), types)
 
 

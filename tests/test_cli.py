@@ -84,6 +84,7 @@ BAD_OPTIONS = [
     ("synth", ["--activity-spread", "0.5"], 2),
     ("synth", ["--users", "-3"], 2),
     ("walks", ["--walk-length", "0"], 2),
+    *((command, ["--seed", "-1"], 2) for command in ("synth", "walks", "train", "evaluate", "e2e")),
 ]
 
 
@@ -333,6 +334,26 @@ class TestSubcommands:
         assert cfg_again.users == 5 and cfg_again.tags == 4 and cfg_again.items == 3
         assert cfg_again.seed == 2
 
+    @pytest.mark.parametrize("out", ["run#2.txt", " lead.txt", "trail.txt "])
+    def test_save_config_refuses_value_that_reads_back_different(self, out, tmp_path, capsys,
+                                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert run_cli("synth", "--users", "5", "--tags", "4", "--items", "3", "--out", out,
+                       "--save-config", "eff.conf", "--quiet") == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "out = " in err, err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_config_into_missing_directory_is_one_error_line(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert run_cli("synth", "--users", "5", "--tags", "4", "--items", "3",
+                       "--out", str(tmp_path / "g.txt"),
+                       "--save-config", str(tmp_path / "no" / "eff.conf"), "--quiet") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_edge_file_fails_cleanly(self, tmp_path, capsys):
         code = run_cli("hits", "--edges", str(tmp_path / "nope.txt"), "--quiet")
         assert code == 1
@@ -358,6 +379,7 @@ class TestBadOptionValues:
         out = tmp_path / "out.txt"
         inputs = {"train": ["--edges", str(synth_edges), "--out", str(out)],
                   "walks": ["--edges", str(synth_edges), "--out", str(out)],
+                  "e2e": ["--edges", str(synth_edges), "--report", str(out)],
                   "synth": ["--out", str(out)]}
         if subcommand == "evaluate":
             inputs["evaluate"] = ["--edges", str(synth_edges), "--embeddings",

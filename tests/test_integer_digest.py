@@ -6,7 +6,9 @@ when a centre's admissible mass stopped counting the centre twice (the loss
 draw then gives negatives to centres it used to skip), and recorded once
 more when the loss draw took its negatives from one ``sample_many`` call
 per party, in the training batch's (centres, context rows, live entries)
-form, instead of one scalar ``sample`` call per centre. Everything hashed
+form, instead of one scalar ``sample`` call per centre, and recorded again
+when each walk's draws moved from its own numpy ``default_rng`` stream to a
+counter-based SplitMix64 stream (the walks moved). Everything hashed
 is an integer, so the digest does not depend on the BLAS build or on float
 summation order. A change that alters the walks, the per-type split, the
 window co-occurrence buckets or the random stream of the loss-evaluation
@@ -24,7 +26,7 @@ from trine.synth import planted_graph
 from trine.trainer import TrainConfig, _loss_sample, default_metapaths
 from trine.walks import filter_by_type, generate_corpus
 
-EXPECTED_DIGEST = "deabf5c6a395603f6eb412b4f3a94fef175d8da60fa86867c96d206c9aa6a812"
+EXPECTED_DIGEST = "184bfefe7a3dcd18a3ce774a799136829a8e548b16bae414a1b6bd6ece5b0c2e"
 
 
 def _int_block(h, values) -> None:

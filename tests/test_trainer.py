@@ -657,7 +657,7 @@ class TestTrain:
         non_finite = (math.nan, math.inf, -math.inf)
         for bad in [dict(dim=0), dict(lr=0.0), dict(min_walks=5, max_walks=2),
                     dict(tol=0.0), dict(tol=1.5), dict(negatives=-1),
-                    dict(alpha=(-1.0, 1.0, 1.0)), dict(epochs=-1), dict(window=0),
+                    dict(alpha=(-1.0, 1.0, 1.0)), dict(epochs=-1), dict(window=0), dict(seed=-1),
                     *({f: v} for f in ("lr", "gamma", "power", "walk_scale") for v in non_finite),
                     *({f: (1.0, v, 1.0)} for f in ("alpha", "beta") for v in non_finite)]:
             with pytest.raises(ConfigError):

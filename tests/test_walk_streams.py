@@ -1,12 +1,15 @@
 """The bulk walk generator against the scalar walk, stream by stream.
 
-``generate_corpus`` advances all walks together on the CSR arrays, taking
-each walk's draws from its own ``default_rng([seed, _WALK_STREAM, m, party,
-index, w])`` stream as numpy's bounded ``integers`` would. These tests pin
-that it returns exactly the walks ``metapath_walk`` makes on those streams.
+``generate_corpus`` advances all walks together on the CSR arrays. Walk
+``(m, party, index, w)`` moves at ``step`` to neighbor ``floor(x * deg /
+2**64)``, ``x`` being the ``step``-th output of the SplitMix64 stream keyed
+by ``_walk_keys(seed, m, party, index, w)``. These tests pin that it returns
+exactly the walks ``metapath_walk`` makes when its ``integers`` calls serve
+those picks, and that the production path follows the uniform walk law.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from trine import walks
@@ -17,6 +20,18 @@ from trine.trainer import default_metapaths
 # Extra metapaths: a two-type one, one that wraps into a repeated party (its
 # walks stop at four nodes) and a long one.
 EXTRA_PATHS = [Metapath((1, 0)), Metapath((0, 1, 2, 1)), Metapath((2, 0, 1, 0, 2)), Metapath((1, 2))]
+
+
+class CounterStream:
+    """``integers`` serving one walk's counter-stream picks: call ``k`` picks with step ``k``'s draw."""
+
+    def __init__(self, seed, *fields):
+        self.key = walks._walk_keys(seed, *(np.array([v]) for v in fields))
+        self.step = 0
+
+    def integers(self, deg):
+        self.step += 1
+        return int(walks._pick(walks._draw(self.key, self.step), np.array([deg]))[0])
 
 
 def reference_walks(g, metapaths, scores, min_walks, max_walks, scale, length, seed):
@@ -32,7 +47,7 @@ def reference_walks(g, metapaths, scores, min_walks, max_walks, scale, length, s
                 if path.start != party:
                     continue
                 for w in range(budget):
-                    rng = np.random.default_rng([seed, walks._WALK_STREAM, m, party, index, w])
+                    rng = CounterStream(seed, m, party, index, w)
                     out.append((m, walks.metapath_walk(g, node, path, length, rng)))
     return out
 
@@ -42,8 +57,8 @@ def walk_cases(draw):
     """A random tripartite graph with fixed corner cases appended, and walk settings.
 
     Appended: user ``a`` whose only neighbor is page ``a`` and page ``a``
-    with no category (a step without a draw, then a dead end on the default
-    metapaths), an isolated user and an isolated category (walks that end at
+    with no category (a degree-1 step, whose pick is 0 whatever the draw,
+    then a dead end on the default metapaths), an isolated user and an isolated category (walks that end at
     their start).
     """
     counts = [draw(st.integers(0, 5)) for _ in range(N_PARTIES)]
@@ -62,7 +77,8 @@ def walk_cases(draw):
     max_walks = draw(st.integers(min_walks, 4))
     scale = draw(st.one_of(st.none(), st.floats(0.5, 40.0)))
     length = draw(st.integers(1, 12))
-    seed = draw(st.integers(0, 2**40))
+    # past 2**64 the seed folds in as more than one limb
+    seed = draw(st.integers(0, 2**70))
     return g, metapaths, min_walks, max_walks, scale, length, seed
 
 
@@ -79,47 +95,23 @@ class TestBulkWalks:
         past_end = np.arange(corpus.nodes.shape[1]) >= corpus.lengths[:, None]
         assert (corpus.nodes[past_end] == -1).all()
 
-    def test_lemire_draw_matches_integers(self):
-        # Large bounds get rejected often; numpy then takes the next 32-bit draw.
-        degs = np.concatenate([np.arange(2, 300), np.random.default_rng(5).integers(300, 2**32, 700)])
-        rejections = 0
-        for k, deg in enumerate(degs.tolist()):
-            stream = [17, k]
-            raw = np.random.default_rng(stream).bit_generator.random_raw(8)
-            draws = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
-            pick, rejected = walks._lemire(draws, np.full(len(draws), deg, dtype=np.uint64))
-            first = int(np.argmin(rejected))
-            assert not rejected[first]
-            rejections += first
-            assert int(pick[first]) == np.random.default_rng(stream).integers(deg)
-        assert rejections > 50
+    @pytest.mark.parametrize("x", [0, 1, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("deg", [1, 2, 3, 2**32 - 1])
+    def test_pick_is_high_word_of_product(self, x, deg):
+        pick = walks._pick(np.array([x], dtype=np.uint64), np.array([deg]))
+        assert pick.tolist() == [x * deg >> 64]
 
-    def test_lemire_rejects_crafted_draw(self):
-        # x = 0, deg = 3: the low word 0 is below (2**32 - 3) % 3 = 1
-        pick, rejected = walks._lemire(np.zeros(1, dtype=np.uint64), np.array([3], dtype=np.uint64))
-        assert rejected.tolist() == [True] and pick.tolist() == [0]
+    def test_every_seed_limb_counts(self):
+        seeds = [0, 1, 2**64 - 1, 2**64, 2**64 + 1, 2**128]
+        keys = [int(walks._walk_keys(s, np.arange(1))[0]) for s in seeds]
+        assert len(set(keys)) == len(seeds)
 
-    def test_rejected_draw_is_walked_again(self, monkeypatch):
-        # user 0 has three pages, so its walks' first draw is bounded by 3
-        g = build_from_pairs((2, 3, 0), [(0, 0, 0, 1.0), (0, 0, 1, 1.0), (0, 0, 2, 1.0), (0, 1, 0, 1.0)])
-        paths = [Metapath((0, 1))]
-        scores = hits(g)
-        expected = reference_walks(g, paths, scores, 2, 2, 1.0, 5, 9)
-        real_words, real_walk = walks._words, walks.metapath_walk
-
-        def crafted_words(keys, n_words):
-            words = real_words(keys, n_words)
-            words[1, 0] = 0  # the first draw of user 0's second walk
-            return words
-
-        replayed = []
-
-        def counted_walk(g, start, path, length, rng):
-            replayed.append(start)
-            return real_walk(g, start, path, length, rng)
-
-        monkeypatch.setattr(walks, "_words", crafted_words)
-        monkeypatch.setattr(walks, "metapath_walk", counted_walk)
-        corpus = walks.generate_corpus(g, paths, scores, 2, 2, 1.0, 5, seed=9)
-        assert replayed == [Node(0, 0)]
-        assert corpus.walks == tuple(tuple(walk) for _, walk in expected)
+    def test_star_frequencies(self):
+        """100,000 walks from the hub of a five-leaf star: each leaf at 0.2 +- 0.01."""
+        g = build_from_pairs((1, 5, 0), [(0, 0, j, 1.0) for j in range(5)])
+        n = 100_000
+        for seed in (1, 2):
+            corpus = walks.generate_corpus(g, [Metapath((0, 1))], hits(g), n, n, 1.0, 2, seed)
+            assert len(corpus) == n and (corpus.lengths == 2).all()
+            counts = np.bincount(corpus.nodes[:, 1], minlength=5)
+            assert np.abs(counts / n - 0.2).max() < 0.01
