@@ -628,6 +628,8 @@ def _read_matrix_file(path, schema: Schema):
             count, dim = int(parts[0]), int(parts[1])
         except ValueError:
             raise EmbeddingFileError(f"bad header {header!r}", 1) from None
+        if count < 0 or dim < 1:
+            raise EmbeddingFileError(f"bad header {header!r}, expected count >= 0 and dim >= 1", 1)
         labels: tuple[list[str], ...] = ([], [], [])
         parties: list[int] = []
         blocks: list[np.ndarray] = []

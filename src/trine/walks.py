@@ -24,6 +24,9 @@ _WALK_STREAM = 101
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = 2**64 - 1
 
+# Walks whose labels write_walks makes and writes at a time.
+_WRITE_BLOCK = 4096
+
 
 @dataclass
 class WalkCorpus:
@@ -303,12 +306,17 @@ def filter_by_type(corpus: WalkCorpus) -> TypedCorpus:
 
 
 def write_walks(corpus: WalkCorpus, g: TripartiteGraph, path) -> None:
-    """Write one walk per line as space-separated node labels."""
+    """Write one walk per line as space-separated node labels.
+
+    Labels are made ``_WRITE_BLOCK`` walks at a time, so a block's strings
+    are the only ones held at once.
+    """
     parties, inside = corpus._parties_inside()
     labels = np.array([lab for p in range(N_PARTIES) for lab in g.labels[p]], dtype=object)
-    tokens = labels[g.offsets[parties[inside]] + corpus.nodes[inside]].tolist()
-    ends = np.cumsum(corpus.lengths).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for lo, hi in zip([0] + ends[:-1], ends):
-            fh.write(" ".join(tokens[lo:hi]))
-            fh.write("\n")
+        for lo in range(0, len(corpus.lengths), _WRITE_BLOCK):
+            block = slice(lo, lo + _WRITE_BLOCK)
+            cells = inside[block]
+            tokens = labels[g.offsets[parties[block][cells]] + corpus.nodes[block][cells]].tolist()
+            ends = np.cumsum(corpus.lengths[block]).tolist()
+            fh.write("".join(" ".join(tokens[a:b]) + "\n" for a, b in zip([0] + ends[:-1], ends)))

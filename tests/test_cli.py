@@ -313,6 +313,20 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert "error:" in err and "lower --lr" in err
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_evaluate_rejects_a_header_without_dimensions(self, synth_edges, tmp_path, capsys,
+                                                          dim):
+        # every node listed by its label alone, under a header of `dim` values per row
+        g = load_edge_list(synth_edges)
+        rows = [lab for labels in g.labels for lab in labels]
+        emb = tmp_path / "emb.txt"
+        emb.write_text(f"{len(rows)} {dim}\n" + "\n".join(rows) + "\n")
+        code = run_cli("evaluate", "--edges", str(synth_edges), "--embeddings", str(emb),
+                       "--relation", "13", "--folds", "2", "--quiet")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "line 1: bad header" in err, err
+
     def test_e2e_deterministic_report(self, synth_edges, tmp_path):
         reports = []
         for name in ("r1.txt", "r2.txt"):

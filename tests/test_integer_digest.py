@@ -8,7 +8,10 @@ more when the loss draw took its negatives from one ``sample_many`` call
 per party, in the training batch's (centres, context rows, live entries)
 form, instead of one scalar ``sample`` call per centre, and recorded again
 when each walk's draws moved from its own numpy ``default_rng`` stream to a
-counter-based SplitMix64 stream (the walks moved). Everything hashed
+counter-based SplitMix64 stream (the walks moved), and recorded again when
+``sample_many`` stopped drawing in rejection rounds and inverted each
+centre's admissible cumulative instead (the negatives moved; the buckets
+did not). Everything hashed
 is an integer, so the digest does not depend on the BLAS build or on float
 summation order. A change that alters the walks, the per-type split, the
 window co-occurrence buckets or the random stream of the loss-evaluation
@@ -26,7 +29,7 @@ from trine.synth import planted_graph
 from trine.trainer import TrainConfig, _loss_sample, default_metapaths
 from trine.walks import filter_by_type, generate_corpus
 
-EXPECTED_DIGEST = "184bfefe7a3dcd18a3ce774a799136829a8e548b16bae414a1b6bd6ece5b0c2e"
+EXPECTED_DIGEST = "7a18dc361301aa5e314a147bf9323234d03df313de1aa3a032936cdd111f7d1d"
 
 
 def _int_block(h, values) -> None:

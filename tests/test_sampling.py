@@ -152,6 +152,22 @@ class TestBuildSampler:
             mass = max(1.0 - sum(probs[z] for z in bucket | {c}), 0.0)
             assert abs(sampler.available_mass(Node(0, c)) - mass) <= 1e-12
 
+    @given(st.lists(st.lists(st.integers(0, 11), max_size=10), max_size=8), st.integers(1, 4),
+           st.sampled_from([0.5, 0.75, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_gap_masses_are_summed_within_each_row(self, seqs, window, power):
+        # each row's below and mass, recomputed from the gaps of that row alone
+        g = build_from_pairs((12, 1, 0), [(0, i, 0, 1.0) for i in range(12)])
+        sampler = NegativeSampler.build(typed_corpus(seqs_u=seqs), g, power, window)
+        t = sampler._tables[0]
+        edge = np.concatenate([[0.0], t.cumulative])
+        for c in range(12):
+            row = sampler._row(Node(0, c)).astype(np.int64)
+            gaps = edge[row] - edge[np.concatenate([[0], row[:-1] + 1])]
+            below = np.cumsum(gaps)
+            assert t.below[t.starts[c]:t.starts[c + 1]].tolist() == below.tolist()
+            assert t.mass[c] == below[-1] + (edge[-1] - edge[row[-1] + 1])
+
 
 class TestSampleNegatives:
     def _sampler(self, n_nodes, seqs):
@@ -202,28 +218,6 @@ class TestSampleNegatives:
             counts[z] += 1
         assert np.max(np.abs(counts / n - expected)) < 0.01
 
-    def test_rejection_stream_matches_one_draw_at_a_time(self):
-        # the reference draws and tests one uniform at a time; the sampler must
-        # return the same negatives and leave the generator in the same state
-        seqs = [[0, 1], [2, 3, 4], [5], [5, 6, 7, 8], [9, 9], [1, 5]]
-        seqs += [[k] for k in range(10)] * 3
-        sampler = self._sampler(10, seqs)
-        cum = np.cumsum(sampler.table_probabilities(0))
-        for seed in range(20):
-            for c in range(10):
-                center = Node(0, c)
-                if sampler.available_mass(center) < NegativeSampler._REJECTION_MIN_MASS:
-                    continue
-                excl = sampler.exclusion_bucket(center)
-                ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                expected = []
-                while len(expected) < 6:
-                    z = min(int(cum.searchsorted(ref_rng.random(), side="right")), len(cum) - 1)
-                    if z != c and z not in excl:
-                        expected.append(z)
-                assert sampler.sample(center, 6, rng) == expected
-                assert rng.random() == ref_rng.random()
-
     def test_determinism(self):
         sampler = self._sampler(8, [[0, 1, 2], [3, 4, 5, 6, 7]])
         a = sampler.sample(Node(0, 0), 20, np.random.default_rng(11))
@@ -236,7 +230,7 @@ class TestSampleMany:
 
     def _sampler(self):
         # node 0 co-occurs with the five heavy nodes 1-5, so its admissible mass
-        # is small (restricted table); nodes 6-9 exclude little (rejection)
+        # is small; nodes 6-9 exclude little
         seqs = [[0, 1, 2, 3, 4, 5]] + [[k] for k in range(1, 6)] * 12 + [[6], [7, 8], [9]]
         g = build_from_pairs((10, 1, 0), [(0, i, 0, 1.0) for i in range(10)])
         sampler = NegativeSampler.build(typed_corpus(seqs_u=seqs), g, window=5)
@@ -246,7 +240,7 @@ class TestSampleMany:
         assert 0 in restricted and len(rejection) >= 4
         return sampler, restricted, rejection
 
-    def test_one_centre_matches_sample_and_stream(self, monkeypatch):
+    def test_one_centre_matches_sample_and_stream(self):
         sampler, restricted, rejection = self._sampler()
         for c in restricted + rejection:
             for seed in range(10):
@@ -254,24 +248,6 @@ class TestSampleMany:
                 expected = sampler.sample(Node(0, c), 7, ref_rng)
                 assert sampler.sample_many(0, np.array([c]), 7, rng)[0].tolist() == expected
                 assert rng.random() == ref_rng.random()
-        # a budget of one draw per negative: both run out after the same draws
-        monkeypatch.setattr(sampling, "_MAX_ATTEMPTS_PER_SAMPLE", 1)
-        spent = 0
-        for c in rejection:
-            for seed in range(10):
-                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                try:
-                    expected = sampler.sample(Node(0, c), 7, ref_rng)
-                except SamplerError as exc:
-                    spent += 1
-                    with pytest.raises(SamplerError) as caught:
-                        sampler.sample_many(0, np.array([c]), 7, rng)
-                    assert str(caught.value) == str(exc)
-                    assert "after 7 attempts" in str(exc)
-                else:
-                    assert sampler.sample_many(0, np.array([c]), 7, rng)[0].tolist() == expected
-                assert rng.random() == ref_rng.random()
-        assert spent > 0
 
     def test_zero_negatives_and_no_centres(self):
         sampler, _, _ = self._sampler()
@@ -292,7 +268,7 @@ class TestSampleMany:
         probs = sampler.table_probabilities(0)
         rng = np.random.default_rng(5)
         centers = np.array(restricted + rejection)
-        # interleaved centres, so that restricted and rejection rows mix in each call
+        # interleaved centres, so that short and long exclusion rows mix in each call
         batch = np.tile(centers, 40)
         flat = np.concatenate([sampler.sample_many(0, batch, 4, rng).ravel() for _ in range(100)])
         owners = np.repeat(np.tile(batch, 100), 4)
@@ -309,21 +285,30 @@ class TestSampleMany:
             assert np.all(np.abs(freq - expected) <= 4 * sigma + 1e-12), c
 
 
-class _TopDraw:
-    """A stand-in generator whose every uniform is 1 - 2**-53, the largest double below 1."""
+_TOP = 1.0 - 2.0 ** -53  # the largest double below 1
+
+
+class _Fed:
+    """A stand-in generator that hands out the given uniforms in turn, cycling, and counts them."""
+
+    def __init__(self, *values):
+        self.values, self.used = np.array(values, dtype=np.float64), 0
 
     def random(self, size=None):
-        return np.full(size, 1.0 - 2.0 ** -53)
+        k = int(np.prod(size))
+        out = self.values[(self.used + np.arange(k)) % len(self.values)]
+        self.used += k
+        return out.reshape(size)
 
 
 class TestTopDraw:
-    """A uniform just below 1 where rounding left a table's sum just below 1.0."""
+    """A uniform at either end of [0, 1) where rounding left a table's sum just below 1.0."""
 
-    def _draws(self, seqs, center):
-        g = build_from_pairs((5, 1, 0), [(0, i, 0, 1.0) for i in range(5)])
+    def _draws(self, seqs, center, u=_TOP, n=5):
+        g = build_from_pairs((n, 1, 0), [(0, i, 0, 1.0) for i in range(n)])
         sampler = NegativeSampler.build(typed_corpus(seqs_u=seqs), g, window=1)
-        one = sampler.sample(Node(0, center), 3, _TopDraw())
-        many = sampler.sample_many(0, np.array([center, center]), 3, _TopDraw())
+        one = sampler.sample(Node(0, center), 3, _Fed(u))
+        many = sampler.sample_many(0, np.array([center, center]), 3, _Fed(u))
         return sampler, one, many.tolist()
 
     def test_party_table_never_gives_a_trailing_zero_mass_node(self):
@@ -335,8 +320,8 @@ class TestTopDraw:
         assert one == [3] * 3 and many == [[3] * 3] * 2
 
     def test_restricted_table_never_gives_an_excluded_last_node(self):
-        # centre 0 co-occurs with the heavy nodes 3 and 4, so it draws from its
-        # restricted table, whose admissible masses (nodes 1 and 2) sum to 1 - 2**-53
+        # centre 0 co-occurs with the heavy nodes 3 and 4; its admissible
+        # masses (nodes 1 and 2), renormalized, sum to 1 - 2**-53
         sampler, one, many = self._draws([[3, 0, 4], [1], [2]] + [[3]] * 10 + [[4]] * 11, 0)
         assert sampler.exclusion_bucket(Node(0, 0)) == {3, 4}
         assert sampler.available_mass(Node(0, 0)) < NegativeSampler._REJECTION_MIN_MASS
@@ -345,24 +330,61 @@ class TestTopDraw:
         assert np.cumsum(probs / probs.sum())[2] < 1.0
         assert one == [2] * 3 and many == [[2] * 3] * 2
 
+    # centre 0 co-occurs with the heavy nodes 3 and 5; node 4 between them never occurs
+    _ZERO_GAP = [[3, 0, 5], [1], [2]] + [[3]] * 10 + [[5]] * 11
 
-class TestSearchRows:
-    """The joint binary search against each row's own ``searchsorted``."""
+    def test_zero_mass_gap_between_excluded_members_is_never_drawn(self):
+        sampler, one, many = self._draws(self._ZERO_GAP, 0, n=6)
+        assert sampler.exclusion_bucket(Node(0, 0)) == {3, 5}
+        probs = sampler.table_probabilities(0)
+        assert probs[4] == 0.0 and probs[[1, 2, 3, 5]].min() > 0.0
+        assert one == [2] * 3 and many == [[2] * 3] * 2
+
+    def test_zero_uniform_gives_the_first_admissible_node_with_mass(self):
+        # the row's first gap (before centre 0) is empty, so u = 0 lands on node 1
+        sampler, one, many = self._draws(self._ZERO_GAP, 0, u=0.0, n=6)
+        assert one == [1] * 3 and many == [[1] * 3] * 2
+        # node 0 never occurs, so centre 1's first admissible node with mass is node 2
+        sampler, one, many = self._draws([[1], [2], [3]], 1, u=0.0)
+        assert sampler.table_probabilities(0)[0] == 0.0
+        assert one == [2] * 3 and many == [[2] * 3] * 2
+
+
+class TestOneCentreInversion:
+    """``sample_many``'s gap search against ``sample``'s explicit table, uniform by uniform."""
 
     @settings(max_examples=300, deadline=None)
-    @given(n=st.one_of(st.sampled_from([1, 2, 3, 5, 57, 64]), st.integers(1, 80)),
-           rows=st.one_of(st.just(1), st.integers(1, 60)),
-           zero_share=st.sampled_from([0.0, 0.5, 0.9]), seed=st.integers(0, 2**32 - 1))
-    def test_matches_each_rows_searchsorted(self, n, rows, zero_share, seed):
+    @given(seqs=st.lists(st.lists(st.integers(0, 11), max_size=10), max_size=8),
+           window=st.integers(1, 4), power=st.sampled_from([0.5, 0.75, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_sample_under_the_same_uniforms(self, seqs, window, power, seed):
+        g = build_from_pairs((12, 1, 0), [(0, i, 0, 1.0) for i in range(12)])
+        sampler = NegativeSampler.build(typed_corpus(seqs_u=seqs), g, power, window)
         rng = np.random.default_rng(seed)
-        # zeroed masses make runs of equal cumulative values
-        mass = rng.random((rows, n)) * (rng.random((rows, n)) >= zero_share)
-        tables = np.cumsum(mass, axis=1) / np.maximum(mass.sum(axis=1, keepdims=True), 1e-300)
-        for row in tables:
-            sampling._pinned(row)
-        # 0, every table entry, the largest double below 1, and plain uniforms
-        u = np.concatenate([[0.0, 1.0 - 2.0 ** -53], tables.ravel(), rng.random(50)])
-        which = rng.integers(rows, size=len(u))
-        got = sampling._search_rows(tables, which, u)
-        expected = [tables[r].searchsorted(x, side="right") for r, x in zip(which.tolist(), u.tolist())]
-        assert got.tolist() == expected
+        for c in range(12):
+            center = Node(0, c)
+            if not sampler.has_negatives(center):
+                continue
+            probs = sampler.table_probabilities(0)
+            probs[sorted(sampler.exclusion_bucket(center) | {c})] = 0.0
+            table = sampling._pinned(np.cumsum(probs / probs.sum()))
+            # 0, the largest double below 1 and plain uniforms: the same draw
+            u = np.concatenate([[0.0, _TOP], rng.random(20)])
+            ref, fed = _Fed(*u), _Fed(*u)
+            expected = sampler.sample(center, len(u), ref)
+            assert sampler.sample_many(0, np.array([c]), len(u), fed)[0].tolist() == expected
+            assert fed.used == ref.used == len(u)
+            # every table boundary: the two searches round differently, so a
+            # uniform on the boundary of two nodes may go to either of them
+            u = table[table < 1.0]
+            if len(u):
+                above = sampler.sample(center, len(u), _Fed(*u))
+                under = sampler.sample(center, len(u), _Fed(*np.nextafter(u, 0.0)))
+                got = sampler.sample_many(0, np.array([c]), len(u), _Fed(*u))[0].tolist()
+                assert all(z in pair for z, pair in zip(got, zip(above, under)))
+        # every centre with negatives in one call: rows of all lengths in one search
+        centers = np.flatnonzero(sampler.has_negatives_many(0, np.arange(12)))
+        ref_rng, real = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = [sampler.sample(Node(0, c), 5, ref_rng) for c in centers.tolist()]
+        assert sampler.sample_many(0, centers, 5, real).tolist() == expected
+        assert real.random() == ref_rng.random()

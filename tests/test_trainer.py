@@ -694,6 +694,13 @@ class TestPersistence:
         with pytest.raises(EmbeddingFileError, match="declares 3 rows"):
             load_embeddings(path, DEFAULT_SCHEMA)
 
+    @pytest.mark.parametrize("text", ["3 0\nu0\nu1\np0\n", "2 -1\nu0\np0\n"])
+    def test_header_needs_a_dimension_and_a_count(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(EmbeddingFileError, match="line 1: bad header"):
+            load_embeddings(path, DEFAULT_SCHEMA)
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 2\nu0 0.5 0.5\np0 1\n")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trine import walks
 from trine.centrality import hits
 from trine.graph import Metapath, Node, build_from_pairs
 from trine.trainer import default_metapaths
@@ -192,6 +193,17 @@ class TestFilterByType:
         path = tmp_path / "walks.txt"
         write_walks(corpus, g, path)
         assert path.read_text() == "".join(" ".join(g.label_of(n) for n in w) + "\n" for w in walks)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_write_walks_in_blocks_matches_default(self, tmp_path, monkeypatch, block):
+        rng = np.random.default_rng(41)
+        g = random_tripartite(rng, counts=(7, 5, 4), density=0.35)
+        corpus = generate_corpus(g, default_metapaths(), hits(g), 1, 4, None, 9, seed=12)
+        assert len(corpus.lengths) > 3 * block
+        write_walks(corpus, g, tmp_path / "default.txt")
+        monkeypatch.setattr(walks, "_WRITE_BLOCK", block)
+        write_walks(corpus, g, tmp_path / "blocks.txt")
+        assert (tmp_path / "blocks.txt").read_bytes() == (tmp_path / "default.txt").read_bytes()
 
     def test_from_walks_checks_metapath_types(self):
         walks = [[Node(0, 1), Node(1, 0)], [Node(1, 2), Node(0, 0), Node(1, 1)]]
