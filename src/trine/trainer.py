@@ -16,10 +16,13 @@ over many rows (in edge-list order a batch would repeat one user's row),
 but a party with fewer nodes than a batch has endpoints still gets several
 summed gradients per row in every batch. A skip-gram pair, in a batch or in
 the fixed loss-evaluation draw, is a centre, a context row (the partner,
-then negatives from one :meth:`NegativeSampler.sample_many` call per party)
-and a mask of live entries, all made by :func:`_with_negatives`. A
-:func:`train` call makes the batch kernel's large buffers once, sized for
-the largest batch its settings allow, and every batch reuses them.
+then its negatives) and a mask of live entries, as :func:`_context_rows`
+makes them. A batch makes the pairs of all three parties in one pass over
+global rows (:func:`_implicit_pairs`): the generator is called party by
+party, and then one window scan and one :meth:`NegativeSampler.invert`
+serve them all. A :func:`train` call makes the batch kernel's large
+buffers once, sized for the largest batch its settings allow, and every
+batch reuses them.
 """
 
 from __future__ import annotations
@@ -359,11 +362,13 @@ def _minibatch_step(emb: np.ndarray, ctx: np.ndarray, src: np.ndarray, dst: np.n
 
 
 class _Occurrences(NamedTuple):
-    """One party's corpus as the engine draws from it.
+    """Every party's corpus as the engine draws from it, in global rows.
 
-    ``nodes`` is the flat corpus, ``lo`` / ``hi`` each occurrence's window,
-    ``order`` all flat positions grouped by node (corpus order within a
-    node), and node ``i``'s group is ``order[start[i]:start[i + 1]]``.
+    ``nodes`` is the parties' flat corpora one after another, each
+    occurrence as its node's global row; ``lo`` / ``hi`` are each
+    occurrence's window in these positions; ``order`` is all positions
+    grouped by node (corpus order within a node), and global row ``r``'s
+    group is ``order[start[r]:start[r + 1]]``.
     """
 
     nodes: np.ndarray
@@ -373,45 +378,70 @@ class _Occurrences(NamedTuple):
     start: np.ndarray
 
     @classmethod
-    def of(cls, typed: TypedCorpus, party: int, n: int, window: int) -> "_Occurrences":
-        lo, hi = typed.windows(party, window)
-        order = np.argsort(typed.nodes[party], kind="stable").astype(np.int32)
-        start = np.concatenate([[0], np.cumsum(typed.occurrence_counts(party, n))])
-        return cls(typed.nodes[party], lo.astype(np.int32), hi.astype(np.int32), order, start)
+    def of(cls, typed: TypedCorpus, g: TripartiteGraph, window: int) -> "_Occurrences":
+        base = np.cumsum([0] + [len(nodes) for nodes in typed.nodes])
+        nodes, lo, hi = (np.empty(base[-1], dtype=np.int32) for _ in range(3))
+        for p, (a, b) in enumerate(zip(base[:-1], base[1:])):
+            np.add(typed.nodes[p], g.offsets[p], out=nodes[a:b], casting="unsafe")
+            for bound, out in zip(typed.windows(p, window), (lo, hi)):
+                np.add(bound, a, out=out[a:b], casting="unsafe")
+        order = np.argsort(nodes, kind="stable").astype(np.int32)
+        start = np.concatenate([[0], np.cumsum(np.bincount(nodes, minlength=g.num_nodes))])
+        return cls(nodes, lo, hi, order, start)
 
 
-def _with_negatives(party: int, centers: np.ndarray, partners: np.ndarray,
-                    sampler: NegativeSampler, ns: int, rng: np.random.Generator):
-    """Each pair's context row (the partner, then ``ns`` negatives) and its live entries.
+def _context_rows(partners: np.ndarray, has: np.ndarray, negatives: np.ndarray):
+    """Each pair's context row (the partner, then its negatives) and its live entries.
 
-    The negatives come from one :meth:`NegativeSampler.sample_many` call. A
-    centre without admissible negatives has only its partner live: its
-    negative columns repeat the partner.
+    ``negatives`` holds one row per pair whose centre ``has`` admissible
+    negatives. A pair without them has only its partner live: its negative
+    columns repeat the partner.
     """
-    has = sampler.has_negatives_many(party, centers)
-    contexts = np.repeat(partners[:, None], 1 + ns, axis=1)
-    contexts[has, 1:] = sampler.sample_many(party, centers[has], ns, rng)
-    return contexts, (np.arange(1 + ns) == 0) | has[:, None]
+    contexts = np.repeat(partners[:, None], 1 + negatives.shape[1], axis=1)
+    contexts[has, 1:] = negatives
+    return contexts, (np.arange(contexts.shape[1]) == 0) | has[:, None]
 
 
-def _implicit_pairs(occ: _Occurrences, party: int, centers: np.ndarray, step: np.ndarray,
-                      sampler: NegativeSampler, ns: int, rng: np.random.Generator):
-    """One batch's implicit pairs for endpoints ``centers`` of one party, each at ``step``.
+def _implicit_pairs(occ: _Occurrences, ends: np.ndarray, end_party: np.ndarray, step: np.ndarray,
+                    alpha: tuple[float, float, float], sampler: NegativeSampler, ns: int,
+                    rng: np.random.Generator):
+    """One batch's implicit pairs for its endpoints, at global rows ``ends`` of parties ``end_party``.
 
-    Each centre that occurs in the corpus draws one occurrence uniformly,
-    and each partner in that occurrence's window makes a pair. Returns the
-    pairs' centres, their context rows (see :func:`_with_negatives`) and the
-    entries' steps, 0 on the entries that are not live.
+    Party by party, for each party with alpha > 0: each of its endpoints
+    that occurs in the corpus draws one occurrence uniformly (one
+    ``rng.integers`` call), and then the uniforms of the negatives of its
+    pairs are drawn (one ``rng.random`` call, ``ns`` per pair whose centre
+    has admissible negatives). Each partner in a drawn occurrence's window
+    makes a pair. One window scan and one :meth:`NegativeSampler.invert`
+    then serve every party. Returns the pairs' centres and context rows (see
+    :func:`_context_rows`), in global rows, party by party and in endpoint
+    order within a party, and the entries' steps: the endpoint's ``step``
+    times its party's alpha, 0 on the entries that are not live.
     """
-    first = occ.start[centers]
-    count = occ.start[centers + 1] - first
-    seen = count > 0
-    centers, step = centers[seen], step[seen]
-    at = occ.order[first[seen] + rng.integers(count[seen])]
+    first = occ.start[ends]
+    count = occ.start[ends + 1] - first
+    party_alpha = np.asarray(alpha)[end_party]
+    # the endpoints of trained parties that occur in the corpus, party by party
+    mine = np.flatnonzero((count > 0) & (party_alpha != 0.0))
+    mine = mine[np.argsort(end_party[mine], kind="stable")]
+    has = sampler.has_negatives_at(ends[mine])
+    at = np.empty(len(mine), dtype=np.int32)
+    uniforms = [np.empty((0, ns))]
+    a = 0
+    for p, k in enumerate(np.bincount(end_party[mine], minlength=N_PARTIES).tolist()):
+        if alpha[p] == 0.0:
+            continue
+        these = mine[a:a + k]
+        at[a:a + k] = occ.order[first[these] + rng.integers(count[these])]
+        span = occ.hi[at[a:a + k]] - occ.lo[at[a:a + k]] - 1
+        uniforms.append(rng.random((int(span[has[a:a + k]].sum()), ns)))
+        a += k
     pick, partners = window_pairs(occ.lo[at], occ.hi[at], at=at)
-    centers = centers[pick]
-    contexts, live = _with_negatives(party, centers, occ.nodes[partners], sampler, ns, rng)
-    return centers, contexts, step[pick][:, None] * live
+    centers, has = ends[mine][pick], has[pick]
+    contexts, live = _context_rows(occ.nodes[partners], has,
+                                   sampler.invert(centers[has], np.concatenate(uniforms)))
+    weight = party_alpha[mine] * step[mine]
+    return centers, contexts, weight[pick][:, None] * live
 
 
 def _explicit_loss(store: EmbeddingStore, g: TripartiteGraph) -> tuple[float, float, float]:
@@ -430,7 +460,7 @@ def _explicit_loss(store: EmbeddingStore, g: TripartiteGraph) -> tuple[float, fl
 
 
 # Per party: the loss draw's centres, context rows and live entries, in the
-# form of a training batch (see _with_negatives).
+# form of a training batch (see _context_rows), as indices within the party.
 _LossSample = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
@@ -444,7 +474,9 @@ def _loss_sample(typed: TypedCorpus, sampler: NegativeSampler, cfg: TrainConfig)
         capped = total > _LOSS_EVAL_MAX_PAIRS
         ranks = rng.integers(total, size=_LOSS_EVAL_MAX_PAIRS) if capped else None
         centers, partners = (typed.nodes[p][pos] for pos in window_pairs(lo, hi, ranks))
-        sample.append((centers, *_with_negatives(p, centers, partners, sampler, cfg.negatives, rng)))
+        has = sampler.has_negatives_many(p, centers)
+        negatives = sampler.sample_many(p, centers[has], cfg.negatives, rng)
+        sample.append((centers, *_context_rows(partners, has, negatives)))
     return sample
 
 
@@ -510,25 +542,24 @@ def train(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
     typed = filter_by_type(corpus)
     del corpus  # training reads only the typed corpus
     sampler = NegativeSampler.build(typed, g, cfg.power, cfg.window)
-    occurrences = [_Occurrences.of(typed, p, g.counts[p], cfg.window) for p in range(N_PARTIES)]
+    occurrences = _Occurrences.of(typed, g, cfg.window)
 
     emb, ctx = _init_flat(g, cfg, np.random.default_rng([cfg.seed, _INIT_STREAM]))
     store = _store_of(emb, ctx, g)
     rng = np.random.default_rng([cfg.seed, _TRAIN_STREAM])
 
     loss_sample = _loss_sample(typed, sampler, cfg)
+    del typed  # the occurrences hold their own copy of the corpus
     prev = _loss_on_sample(store, g, loss_sample, cfg)
     if on_epoch is not None:
         on_epoch(0, prev)
 
-    # every edge of every relation: its endpoints' parties and per-party
-    # indices, and its explicit coefficient; g.edge_rows has their flat rows
+    # every edge of every relation: its endpoints' global rows and parties,
+    # and its explicit coefficient
     edges = g.edge_rows
+    ends = np.stack([edges.src, edges.dst], axis=1)
     party = np.array(RELATIONS)[edges.relation]
-    index = np.stack([np.concatenate(g.edge_src), np.concatenate(g.edge_dst)], axis=1)
     coef = cfg.gamma * np.asarray(cfg.beta)[edges.relation] * edges.wt
-    no_pairs = (np.zeros(0, dtype=np.int64), np.zeros((0, 1 + cfg.negatives), dtype=np.int64),
-                np.zeros((0, 1 + cfg.negatives)))
     scratch = _Scratch.of(cfg, min(_BATCH_EDGES, len(coef)))
 
     total_steps = max(1, cfg.epochs * len(coef))
@@ -544,19 +575,10 @@ def train(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
                     lr *= np.maximum(0.01, 1.0 - (step + np.arange(len(batch))) / total_steps)
                 step += len(batch)
                 # the batch's endpoints, edge by edge, with their edge's lr
-                end_party, end_index = party[batch].ravel(), index[batch].ravel()
-                end_lr = np.repeat(lr, 2)
-                pairs = [no_pairs]
-                for p in range(N_PARTIES):
-                    if cfg.alpha[p] == 0.0:
-                        continue
-                    ends = end_party == p
-                    centers, contexts, pair_step = _implicit_pairs(
-                        occurrences[p], p, end_index[ends], cfg.alpha[p] * end_lr[ends],
-                        sampler, cfg.negatives, rng)
-                    pairs.append((centers + g.offsets[p], contexts + g.offsets[p], pair_step))
+                pairs = _implicit_pairs(occurrences, ends[batch].ravel(), party[batch].ravel(),
+                                        np.repeat(lr, 2), cfg.alpha, sampler, cfg.negatives, rng)
                 _minibatch_step(emb, ctx, edges.src[batch], edges.dst[batch], lr * coef[batch],
-                                *map(np.concatenate, zip(*pairs)), scratch)
+                                *pairs, scratch)
         except NonFiniteError as exc:
             log.error("training diverged in epoch %d (%s); returning last finite checkpoint", epoch, exc)
             return _store_of(*checkpoint, g)

@@ -16,20 +16,33 @@ is an integer, so the digest does not depend on the BLAS build or on float
 summation order. A change that alters the walks, the per-type split, the
 window co-occurrence buckets or the random stream of the loss-evaluation
 draw (its window pairs and their negatives) changes it.
+
+The batch digests cover training itself: every batch's edges, implicit
+centres, context rows and live entries over two epochs, as ``train`` hands
+them to the batch kernel. They were recorded while each party's implicit
+pairs still had a pass of their own in every batch, and hold for the one
+pass over all parties that replaced it.
 """
 
 import hashlib
 
 import numpy as np
+import pytest
 
+from trine import trainer
 from trine.centrality import hits
 from trine.graph import N_PARTIES, Node
 from trine.sampling import NegativeSampler
 from trine.synth import planted_graph
-from trine.trainer import TrainConfig, _loss_sample, default_metapaths
+from trine.trainer import TrainConfig, _loss_sample, default_metapaths, train
 from trine.walks import filter_by_type, generate_corpus
 
 EXPECTED_DIGEST = "7a18dc361301aa5e314a147bf9323234d03df313de1aa3a032936cdd111f7d1d"
+
+# The training batches' draws (see batch_draw_digest), with every party's
+# implicit term on, and with the pages' term off.
+EXPECTED_BATCH_DIGEST = "38087c5993c24bea2b5888e978adc92c7ec3778efe0a488b23f152bc92fc2593"
+EXPECTED_BATCH_DIGEST_NO_PAGES = "88fd987368e937c63381639bb241929ebd070dc9887a2d25ebfdd6c83d414e7c"
 
 
 def _int_block(h, values) -> None:
@@ -64,9 +77,48 @@ def integer_digest(seed: int) -> tuple[str, list[int]]:
     return h.hexdigest(), [len(centers) for centers, _, _ in sample]
 
 
+def batch_draw_digest(seed: int, alpha: tuple[float, float, float]) -> tuple[str, int]:
+    """SHA-256 over every training batch's integer draws in a 2-epoch ``train``.
+
+    Each batch hashes its edge rows ``src`` and ``dst``, its implicit
+    ``centers`` and ``contexts`` and which entries are live
+    (``pair_step != 0``), as ``train`` hands them to the batch kernel. Also
+    returns the number of batches.
+    """
+    g = planted_graph((60, 30, 20), 3, 0.3, 0.05, seed=seed)
+    cfg = TrainConfig(dim=8, window=3, negatives=3, max_walks=6, walk_length=24, epochs=2,
+                      tol=1e-12, alpha=alpha, seed=seed)
+    h = hashlib.sha256()
+    batches = 0
+    step = trainer._minibatch_step
+
+    def recording_step(emb, ctx, src, dst, edge_step, centers, contexts, pair_step, scratch):
+        nonlocal batches
+        batches += 1
+        for arr in (src, dst, centers, contexts.ravel(), (pair_step != 0).ravel()):
+            _int_block(h, arr)
+        step(emb, ctx, src, dst, edge_step, centers, contexts, pair_step, scratch)
+
+    trainer._minibatch_step = recording_step
+    try:
+        train(g, default_metapaths(), cfg)
+    finally:
+        trainer._minibatch_step = step
+    return h.hexdigest(), batches
+
+
 class TestIntegerDigest:
     def test_seed_one_matches_recorded_digest(self):
         digest, eval_pairs = integer_digest(1)
         # pages exceed the loss-draw cap (picked branch); users stay under it
         assert eval_pairs[1] == 5_000 and eval_pairs[0] < 5_000
         assert digest == EXPECTED_DIGEST
+
+    @pytest.mark.parametrize("alpha, expected", [
+        ((1.0, 1.0, 1.0), EXPECTED_BATCH_DIGEST),
+        ((1.0, 0.0, 1.0), EXPECTED_BATCH_DIGEST_NO_PAGES),
+    ])
+    def test_training_batches_match_recorded_digest(self, alpha, expected):
+        digest, batches = batch_draw_digest(1, alpha)
+        assert batches > 2
+        assert digest == expected

@@ -159,8 +159,8 @@ class TestBuildSampler:
         # each row's below and mass, recomputed from the gaps of that row alone
         g = build_from_pairs((12, 1, 0), [(0, i, 0, 1.0) for i in range(12)])
         sampler = NegativeSampler.build(typed_corpus(seqs_u=seqs), g, power, window)
-        t = sampler._tables[0]
-        edge = np.concatenate([[0.0], t.cumulative])
+        t = sampler._table  # party 0 holds global rows 0-11
+        edge = np.concatenate([[0.0], t.cumulative[:12]])
         for c in range(12):
             row = sampler._row(Node(0, c)).astype(np.int64)
             gaps = edge[row] - edge[np.concatenate([[0], row[:-1] + 1])]
@@ -348,6 +348,69 @@ class TestTopDraw:
         sampler, one, many = self._draws([[1], [2], [3]], 1, u=0.0)
         assert sampler.table_probabilities(0)[0] == 0.0
         assert one == [2] * 3 and many == [[2] * 3] * 2
+
+
+def assert_gap_tops_match_search(sampler, g):
+    """``gap_top[end]`` of every end in every party, against the search it stands for."""
+    t = sampler._table
+    for p in range(3):
+        lo, hi = g.offsets[p], g.offsets[p + 1]
+        cum = t.cumulative[lo:hi]
+        for end in range(lo + 1, hi + 1):
+            assert t.gap_top[end] == lo + cum.searchsorted(cum[end - 1 - lo], side="left")
+
+
+@st.composite
+def three_parties(draw):
+    """Party sizes, one of them possibly 0, and each party's sequences."""
+    counts = draw(st.sampled_from([(5, 7, 4), (0, 7, 4), (5, 0, 4), (5, 7, 0)]))
+    seqs = tuple(draw(st.lists(st.lists(st.integers(0, n - 1), max_size=8), max_size=5)) if n else []
+                 for n in counts)
+    return counts, seqs
+
+
+class TestFlatTable:
+    """The three parties' tables side by side, in global rows."""
+
+    def test_gap_tops_of_pinned_and_zero_mass_tables(self):
+        # pages: TestTopDraw's table, whose masses of pages 0-3 sum to 1 - 2**-53,
+        # and page 4 never occurs; items: its zero-mass gap, item 4 never occurs
+        g = build_from_pairs((3, 5, 6), [(0, 0, 0, 1.0)])
+        typed = typed_corpus(seqs_u=[[0, 1]], seqs_p=[[0], [1], [2]] + [[3]] * 5,
+                             seqs_c=TestTopDraw._ZERO_GAP)
+        sampler = NegativeSampler.build(typed, g, window=1)
+        pages, items = sampler.table_probabilities(1), sampler.table_probabilities(2)
+        assert pages[4] == 0.0 and np.cumsum(pages)[3] < 1.0
+        assert items[4] == 0.0 and items[[0, 1, 2, 3, 5]].min() > 0.0
+        assert sampler.table_probabilities(0)[2] == 0.0  # user 2 never occurs either
+        assert_gap_tops_match_search(sampler, g)
+        # a gap ending after page 4 or item 5 is capped at page 3 or item 5
+        assert sampler._table.gap_top[3 + 5] == 3 + 3 and sampler._table.gap_top[8 + 6] == 8 + 5
+        assert sampler._table.gap_top[8 + 5] == 8 + 3  # item 4 adds no mass to item 3's
+
+    @given(parties=three_parties(), window=st.integers(1, 3), power=st.sampled_from([0.5, 0.75]))
+    @settings(max_examples=150, deadline=None)
+    def test_gap_tops_match_search(self, parties, window, power):
+        counts, seqs = parties
+        g = build_from_pairs(counts, [])
+        assert_gap_tops_match_search(NegativeSampler.build(typed_corpus(*seqs), g, power, window), g)
+
+    @given(parties=three_parties(), window=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_interleaved_parties_draw_as_sample_does(self, parties, window, seed):
+        # one inversion over centres of all parties in shuffled order
+        counts, seqs = parties
+        g = build_from_pairs(counts, [])
+        sampler = NegativeSampler.build(typed_corpus(*seqs), g, window=window)
+        nodes = [Node(p, c) for p in range(3) for c in range(g.counts[p])
+                 if sampler.has_negatives(Node(p, c))]
+        rng = np.random.default_rng(seed)
+        nodes = [nodes[k] for k in rng.permutation(len(nodes))]
+        rows = np.array([g.offsets[n.party] + n.index for n in nodes], dtype=np.int64)
+        u = rng.random((len(rows), 4))
+        got = sampler.invert(rows, u)
+        for node, row_u, picks in zip(nodes, u, got):
+            assert (picks - g.offsets[node.party]).tolist() == sampler.sample(node, 4, _Fed(*row_u))
 
 
 class TestOneCentreInversion:

@@ -2,9 +2,12 @@ import math
 import os
 import subprocess
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trine.errors import ConfigError, EmbeddingFileError, NonFiniteError
 from trine.graph import DEFAULT_SCHEMA, Edge, Node, build_from_pairs
@@ -459,6 +462,136 @@ class TestPairHelpers:
         assert list(zip(nodes[center].tolist(), nodes[context].tolist())) == expected
         with pytest.raises(IndexError):
             window_pairs(lo, hi, np.array([len(expected)]))
+
+
+class ReferenceOccurrences(NamedTuple):
+    """One party's corpus as the per-party pass drew from it, in indices within the party."""
+
+    nodes: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    order: np.ndarray
+    start: np.ndarray
+
+    @classmethod
+    def of(cls, typed, party, n, window):
+        lo, hi = typed.windows(party, window)
+        order = np.argsort(typed.nodes[party], kind="stable").astype(np.int32)
+        start = np.concatenate([[0], np.cumsum(typed.occurrence_counts(party, n))])
+        return cls(typed.nodes[party], lo.astype(np.int32), hi.astype(np.int32), order, start)
+
+
+def reference_with_negatives(party, centers, partners, sampler, ns, rng):
+    """Each pair's context row and live entries, the negatives from one ``sample_many`` call."""
+    has = sampler.has_negatives_many(party, centers)
+    contexts = np.repeat(partners[:, None], 1 + ns, axis=1)
+    contexts[has, 1:] = sampler.sample_many(party, centers[has], ns, rng)
+    return contexts, (np.arange(1 + ns) == 0) | has[:, None]
+
+
+def reference_implicit_pairs(occ, party, centers, step, sampler, ns, rng):
+    """One party's implicit pairs of a batch, for its endpoints ``centers`` each at ``step``."""
+    first = occ.start[centers]
+    count = occ.start[centers + 1] - first
+    seen = count > 0
+    centers, step = centers[seen], step[seen]
+    at = occ.order[first[seen] + rng.integers(count[seen])]
+    pick, partners = window_pairs(occ.lo[at], occ.hi[at], at=at)
+    centers = centers[pick]
+    contexts, live = reference_with_negatives(party, centers, occ.nodes[partners], sampler, ns, rng)
+    return centers, contexts, step[pick][:, None] * live
+
+
+def reference_batch_pairs(g, typed, sampler, window, end_party, end_index, end_lr, alpha, ns, rng):
+    """A batch's implicit pairs in global rows, one per-party pass after another."""
+    pairs = [(np.zeros(0, dtype=np.int64), np.zeros((0, 1 + ns), dtype=np.int64), np.zeros((0, 1 + ns)))]
+    for p in range(3):
+        if alpha[p] == 0.0:
+            continue
+        ends = end_party == p
+        occ = ReferenceOccurrences.of(typed, p, g.counts[p], window)
+        centers, contexts, pair_step = reference_implicit_pairs(
+            occ, p, end_index[ends], alpha[p] * end_lr[ends], sampler, ns, rng)
+        pairs.append((centers + g.offsets[p], contexts + g.offsets[p], pair_step))
+    return tuple(map(np.concatenate, zip(*pairs)))
+
+
+@st.composite
+def pair_batches(draw):
+    """A graph whose page party has 3 nodes, a typed corpus over part of it, and a batch."""
+    counts = (draw(st.integers(1, 9)), 3, draw(st.integers(1, 9)))
+    seqs = tuple(draw(st.lists(st.lists(st.integers(0, n - 1), max_size=8), max_size=5))
+                 for n in counts)
+    parties = draw(st.sampled_from([(0, 1, 2), (0,), (1,), (2,)]))
+    end_party = np.array(draw(st.lists(st.sampled_from(parties), max_size=16)), dtype=np.int64)
+    end_index = np.array([draw(st.integers(0, counts[p] - 1)) for p in end_party.tolist()],
+                         dtype=np.int64)
+    return dict(counts=counts, seqs=seqs, end_party=end_party, end_index=end_index,
+                window=draw(st.integers(1, 3)), ns=draw(st.sampled_from([0, 1, 3])),
+                alpha=tuple(draw(st.sampled_from([0.0, 0.5, 1.0])) for _ in range(3)),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def assert_one_pass_matches_reference(counts, seqs, end_party, end_index, window, ns, alpha, seed):
+    """The one pass over all parties against the per-party passes: the same pairs and rng state."""
+    g = build_from_pairs(counts, [(0, 0, 0, 1.0)])
+    typed = TypedCorpus.from_sequences(seqs)
+    sampler = NegativeSampler.build(typed, g, window=window)
+    lr = np.random.default_rng(seed).uniform(0.01, 0.1, size=len(end_party))
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = reference_batch_pairs(g, typed, sampler, window, end_party, end_index, lr, alpha,
+                                     ns, ref_rng)
+    occ = trainer._Occurrences.of(typed, g, window)
+    got = trainer._implicit_pairs(occ, g.offsets[end_party] + end_index, end_party, lr, alpha,
+                                  sampler, ns, rng)
+    for a, b in zip(got, expected):
+        assert a.shape == b.shape and a.tolist() == b.tolist()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return expected
+
+
+class TestImplicitPairs:
+    """One implicit-pair pass per batch against the per-party passes it replaced."""
+
+    @given(pair_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_party_passes(self, case):
+        assert_one_pass_matches_reference(**case)
+
+    def _case(self, **changes):
+        case = dict(counts=(4, 3, 5), seqs=([[0, 1, 2], [1, 3]], [[0, 1, 2, 0]], [[0, 1], [2, 3, 4]]),
+                    end_party=np.array([0, 1, 1, 2, 0, 2, 1, 0]),
+                    end_index=np.array([1, 0, 2, 3, 3, 4, 1, 2]),
+                    window=2, ns=3, alpha=(1.0, 1.0, 1.0), seed=7)
+        case.update(changes)
+        return case
+
+    def test_every_party_with_negatives_and_without(self):
+        centers, contexts, step = assert_one_pass_matches_reference(**self._case())
+        # pages 0-2 co-occur in one window: no page centre has negatives
+        pages = (centers >= 4) & (centers < 7)
+        assert pages.any() and (step[pages, 1:] == 0).all() and (step[~pages, 1:] > 0).any()
+
+    def test_party_with_alpha_zero(self):
+        centers, _, _ = assert_one_pass_matches_reference(**self._case(alpha=(1.0, 0.0, 0.5)))
+        assert len(centers) and not ((centers >= 4) & (centers < 7)).any()
+
+    def test_no_negatives(self):
+        _, contexts, _ = assert_one_pass_matches_reference(**self._case(ns=0))
+        assert contexts.shape[1] == 1
+
+    def test_endpoints_absent_from_their_corpus(self):
+        # users 0 and 3 never occur, and neither do the items
+        case = self._case(seqs=([[1, 2]], [[0, 1, 2, 0]], []))
+        centers, _, _ = assert_one_pass_matches_reference(**case)
+        assert set(centers.tolist()) <= {1, 2, 4, 5, 6}
+
+    def test_single_party_batch(self):
+        for p in range(3):
+            ends = np.array([0, 1, 2, 1])
+            centers, _, _ = assert_one_pass_matches_reference(
+                **self._case(end_party=np.full(4, p), end_index=ends))
+            assert len(centers)
 
 
 class TestComputeLoss:
