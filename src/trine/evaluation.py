@@ -93,14 +93,22 @@ def make_link_dataset(g: TripartiteGraph, relation: int, neg_ratio: float,
 
 
 def kfold_split(labels: np.ndarray, folds: int, rng: np.random.Generator) -> np.ndarray:
-    """Label-stratified fold assignment; per-class fold sizes differ by <= 1."""
+    """Label-stratified fold assignment; per-class fold sizes differ by <= 1.
+
+    Every class must have at least ``folds`` members, so that every fold
+    holds every class.
+    """
     n = len(labels)
     if folds < 2:
         raise EvalError(f"need at least 2 folds, got {folds}")
     if n < folds:
         raise EvalError(f"cannot split {n} samples into {folds} folds")
+    classes, sizes = np.unique(labels, return_counts=True)
+    if (sizes < folds).any():
+        k = int(np.argmin(sizes))
+        raise EvalError(f"class {classes[k]:g} has {sizes[k]} samples, fewer than {folds} folds")
     fold_of = np.empty(n, dtype=np.int64)
-    for cls in np.unique(labels):
+    for cls in classes:
         idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
         fold_of[idx] = np.arange(len(idx)) % folds

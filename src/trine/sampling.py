@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import SamplerError
 from .graph import N_PARTIES, Node, TripartiteGraph
-from .walks import TypedCorpus, window_pairs
+from .walks import TypedCorpus
 
 log = logging.getLogger(__name__)
 
@@ -78,50 +78,27 @@ class NegativeSampler:
               window: int = 5) -> "NegativeSampler":
         if not (0 < power < np.inf):
             raise ValueError(f"power must be positive and finite, got {power}")
+        nodes, hi = typed.in_rows(g.offsets, window)[::2]  # the rows need no window starts
+        counts = np.bincount(nodes, minlength=g.num_nodes).astype(np.float64)
         probs, cum = np.empty(g.num_nodes), np.empty(g.num_nodes)
-        own = np.zeros(g.num_nodes, dtype=bool)
-        starts = np.zeros(g.num_nodes + 1, dtype=np.int64)
         gap_top = np.zeros(g.num_nodes + 1, dtype=np.int64)
-        members = np.empty(0, dtype=np.int32)
         for p in range(N_PARTIES):
             n, off = g.counts[p], int(g.offsets[p])
             rows = slice(off, off + n)
-            counts = typed.occurrence_counts(p, n).astype(np.float64)
-            if n > 0 and counts.sum() == 0:
+            if n > 0 and counts[rows].sum() == 0:
                 log.warning(
                     "party %s has an empty corpus; negative sampling falls back to uniform",
                     g.schema.party_names[p],
                 )
                 weights = np.full(n, 1.0 / n)
-            elif n > 0:
-                weights = counts ** power
-                weights /= weights.sum()
             else:
-                weights = np.zeros(0)
+                weights = counts[rows] ** power
+                weights /= weights.sum()  # an empty party divides nothing
             table = np.cumsum(weights)
             probs[rows] = np.diff(table, prepend=0.0)
             cum[rows] = _pinned(table)
             gap_top[off + 1:off + n + 1] = off + table.searchsorted(table, side="left")
-
-            nodes = typed.nodes[p].astype(np.int64)
-            center, context = (nodes[pos] for pos in window_pairs(*typed.windows(p, window)))
-            own[off + center[center == context]] = True
-            # row c holds c's bucket plus c itself: the sorted codes c * n + member, once each
-            codes = np.concatenate([center * n + context, np.arange(n) * (n + 1)])
-            del nodes, center, context
-            codes.sort()
-            first = np.ones(len(codes), dtype=bool)
-            np.not_equal(codes[1:], codes[:-1], out=first[1:])
-            codes = codes[first]
-            del first
-            starts[off:off + n + 1] = codes.searchsorted(np.arange(n + 1) * n) + starts[off]
-            codes %= max(n, 1)
-            codes += off
-            # grown in place: a concatenation would hold every party's members twice
-            grown = len(members)
-            members.resize(grown + len(codes), refcheck=False)
-            members[grown:] = codes
-            del codes
+        starts, members, own = _exclusion_rows(nodes, hi, window, g.num_nodes)
         below, mass = _gap_masses(cum, members, starts, g.offsets)
         return cls(g.offsets, _Table(probs, cum, starts, members, below, own, mass, gap_top))
 
@@ -153,10 +130,6 @@ class NegativeSampler:
         """
         return self.available_mass(center) > _EMPTY_MASS
 
-    def has_negatives_many(self, party: int, centers: np.ndarray) -> np.ndarray:
-        """:meth:`has_negatives` of each of the party's ``centers``, as a boolean array."""
-        return self.has_negatives_at(self._offsets[party] + centers)
-
     def has_negatives_at(self, rows: np.ndarray) -> np.ndarray:
         """:meth:`has_negatives` of the centres at global ``rows``, as a boolean array."""
         return self._table.mass[rows] > _EMPTY_MASS
@@ -173,31 +146,12 @@ class NegativeSampler:
         if ns == 0:
             return []
         if not self.has_negatives(center):
-            raise _no_negatives(center)
+            raise SamplerError(f"no negatives available for {center}: its exclusion bucket covers "
+                               "every node with probability mass (degenerate party)")
         probs = self.table_probabilities(center.party)
         probs[self._row(center)] = 0.0
         probs /= probs.sum()
         return _pinned(np.cumsum(probs)).searchsorted(rng.random(ns), side="right").tolist()
-
-    def sample_many(self, party: int, centers: np.ndarray, ns: int,
-                    rng: np.random.Generator) -> np.ndarray:
-        """Draw ``ns`` negatives for each of the party's ``centers``: row ``k`` serves ``centers[k]``.
-
-        Each centre takes ``ns`` uniforms from one ``rng.random`` call, in
-        centre order, and :meth:`invert` turns them into negatives; with no
-        centres or ``ns == 0`` the generator is not called. A single centre
-        follows :meth:`sample`'s law and consumes the generator as it does.
-        Raises :class:`SamplerError` for a centre without admissible
-        negatives.
-        """
-        centers = np.asarray(centers, dtype=np.int64)
-        if ns == 0 or len(centers) == 0:
-            return np.empty((len(centers), ns), dtype=np.int64)
-        has = self.has_negatives_many(party, centers)
-        if not has.all():
-            raise _no_negatives(Node(party, int(centers[np.argmin(has)])))
-        off = self._offsets[party]
-        return self.invert(off + centers, rng.random((len(centers), ns))) - off
 
     def invert(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The negative (a global row) of each uniform ``u[k, i]`` for the centre at global ``rows[k]``.
@@ -254,11 +208,42 @@ class NegativeSampler:
         return np.minimum(picks, t.gap_top.take(end)).reshape(u.shape)
 
 
-def _no_negatives(center: Node) -> SamplerError:
-    return SamplerError(
-        f"no negatives available for {center}: its exclusion bucket covers "
-        "every node with probability mass (degenerate party)"
-    )
+def _exclusion_rows(nodes: np.ndarray, hi: np.ndarray, window: int,
+                    n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every party's exclusion rows: ``starts``, ``members`` and ``self_in_bucket``.
+
+    ``nodes`` and ``hi`` are the corpus in global rows, as
+    :meth:`TypedCorpus.in_rows` lays it out, and ``n`` is the node count. Row
+    ``c`` is kept as the sorted codes ``c * n + member``, once each, starting
+    from ``c``'s own code. One window offset ``d`` at a time, position ``k``
+    pairs with ``k + d`` when ``hi[k] > k + d``: both orders of each pair's
+    code are sorted, de-duplicated and merged into the codes kept so far, so
+    no more than one offset's pairs are held at once.
+    """
+    own = np.zeros(n, dtype=bool)
+    codes = np.arange(n, dtype=np.int64) * (n + 1)
+    room = hi - np.arange(1, len(hi) + 1, dtype=np.int32)  # positions after k in k's window
+    for d in range(1, window + 1):
+        at = np.flatnonzero(room >= d)  # k + d lies in k's window, and so in the corpus
+        a, b = nodes[at].astype(np.int64), nodes[at + d].astype(np.int64)
+        own[a[a == b]] = True
+        fresh = np.concatenate([a * n + b, b * n + a])
+        del at, a, b
+        fresh.sort()
+        codes = np.concatenate([codes, _distinct(fresh)])
+        del fresh
+        codes.sort(kind="stable")  # two sorted runs: one merge
+        codes = _distinct(codes)
+    starts = codes.searchsorted(np.arange(n + 1) * n)
+    np.remainder(codes, max(n, 1), out=codes)
+    return starts, codes.astype(np.int32), own
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """A sorted array without its repeats: a neighbour-difference mask, not numpy's hashing ``unique``."""
+    first = np.ones(len(x), dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    return x[first]
 
 
 def _gap_masses(cum: np.ndarray, members: np.ndarray, starts: np.ndarray,

@@ -112,6 +112,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
+        if len(self.alpha) != N_PARTIES or len(self.beta) != len(RELATIONS):
+            raise ConfigError(f"need 3 alpha and 3 beta weights, got {len(self.alpha)} and {len(self.beta)}")
         reals = {"lr": self.lr, "gamma": self.gamma, "power": self.power, "walk_scale": self.walk_scale}
         reals.update((f"alpha{p + 1}", a) for p, a in enumerate(self.alpha))
         reals.update((f"beta{r + 1}", b) for r, b in enumerate(self.beta))
@@ -364,11 +366,9 @@ def _minibatch_step(emb: np.ndarray, ctx: np.ndarray, src: np.ndarray, dst: np.n
 class _Occurrences(NamedTuple):
     """Every party's corpus as the engine draws from it, in global rows.
 
-    ``nodes`` is the parties' flat corpora one after another, each
-    occurrence as its node's global row; ``lo`` / ``hi`` are each
-    occurrence's window in these positions; ``order`` is all positions
-    grouped by node (corpus order within a node), and global row ``r``'s
-    group is ``order[start[r]:start[r + 1]]``.
+    ``nodes``, ``lo`` and ``hi`` are :meth:`TypedCorpus.in_rows`; ``order``
+    is all positions grouped by node (corpus order within a node), and
+    global row ``r``'s group is ``order[start[r]:start[r + 1]]``.
     """
 
     nodes: np.ndarray
@@ -379,12 +379,7 @@ class _Occurrences(NamedTuple):
 
     @classmethod
     def of(cls, typed: TypedCorpus, g: TripartiteGraph, window: int) -> "_Occurrences":
-        base = np.cumsum([0] + [len(nodes) for nodes in typed.nodes])
-        nodes, lo, hi = (np.empty(base[-1], dtype=np.int32) for _ in range(3))
-        for p, (a, b) in enumerate(zip(base[:-1], base[1:])):
-            np.add(typed.nodes[p], g.offsets[p], out=nodes[a:b], casting="unsafe")
-            for bound, out in zip(typed.windows(p, window), (lo, hi)):
-                np.add(bound, a, out=out[a:b], casting="unsafe")
+        nodes, lo, hi = typed.in_rows(g.offsets, window)
         order = np.argsort(nodes, kind="stable").astype(np.int32)
         start = np.concatenate([[0], np.cumsum(np.bincount(nodes, minlength=g.num_nodes))])
         return cls(nodes, lo, hi, order, start)
@@ -464,19 +459,28 @@ def _explicit_loss(store: EmbeddingStore, g: TripartiteGraph) -> tuple[float, fl
 _LossSample = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def _loss_sample(typed: TypedCorpus, sampler: NegativeSampler, cfg: TrainConfig) -> _LossSample:
-    """The seeded draw of window pairs and negatives that the implicit loss runs over."""
+def _loss_sample(nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray, offsets: np.ndarray,
+                 sampler: NegativeSampler, cfg: TrainConfig) -> _LossSample:
+    """The seeded draw of window pairs and negatives that the implicit loss runs over.
+
+    Reads the corpus as :meth:`TypedCorpus.in_rows` lays it out; each party
+    draws from its own positions, with a generator of its own.
+    """
     sample: _LossSample = []
-    for p in range(N_PARTIES):
+    bounds = [int(np.count_nonzero(nodes < off)) for off in offsets]  # the parties lie end to end
+    for p, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
         rng = np.random.default_rng([cfg.seed, _LOSS_STREAM, p])
-        lo, hi = typed.windows(p, cfg.window)
-        total = int((hi - lo - 1).sum())
+        # window_pairs reads windows in the party's own positions
+        lo_p, hi_p = lo[a:b] - a, hi[a:b] - a
+        total = int((hi_p - lo_p - 1).sum())
         capped = total > _LOSS_EVAL_MAX_PAIRS
         ranks = rng.integers(total, size=_LOSS_EVAL_MAX_PAIRS) if capped else None
-        centers, partners = (typed.nodes[p][pos] for pos in window_pairs(lo, hi, ranks))
-        has = sampler.has_negatives_many(p, centers)
-        negatives = sampler.sample_many(p, centers[has], cfg.negatives, rng)
-        sample.append((centers, *_context_rows(partners, has, negatives)))
+        centers, partners = (nodes[a:b][pos] for pos in window_pairs(lo_p, hi_p, ranks))
+        has = sampler.has_negatives_at(centers)
+        negatives = sampler.invert(centers[has], rng.random((int(has.sum()), cfg.negatives)))
+        contexts, live = _context_rows(partners, has, negatives)
+        off = int(offsets[p])  # a Python int keeps the indices int32
+        sample.append((centers - off, contexts - off, live))
     return sample
 
 
@@ -508,7 +512,8 @@ def compute_loss(store: EmbeddingStore, g: TripartiteGraph, typed: TypedCorpus,
     an RNG derived from the seed alone, so repeated calls measure the same
     sample and epoch-to-epoch changes are attributable to the parameters.
     """
-    return _loss_on_sample(store, g, _loss_sample(typed, sampler, cfg), cfg)
+    sample = _loss_sample(*typed.in_rows(g.offsets, cfg.window), g.offsets, sampler, cfg)
+    return _loss_on_sample(store, g, sample, cfg)
 
 
 def train(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
@@ -543,13 +548,14 @@ def train(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
     del corpus  # training reads only the typed corpus
     sampler = NegativeSampler.build(typed, g, cfg.power, cfg.window)
     occurrences = _Occurrences.of(typed, g, cfg.window)
+    del typed  # the occurrences hold their own copy of the corpus
 
     emb, ctx = _init_flat(g, cfg, np.random.default_rng([cfg.seed, _INIT_STREAM]))
     store = _store_of(emb, ctx, g)
     rng = np.random.default_rng([cfg.seed, _TRAIN_STREAM])
 
-    loss_sample = _loss_sample(typed, sampler, cfg)
-    del typed  # the occurrences hold their own copy of the corpus
+    loss_sample = _loss_sample(occurrences.nodes, occurrences.lo, occurrences.hi, g.offsets,
+                               sampler, cfg)
     prev = _loss_on_sample(store, g, loss_sample, cfg)
     if on_epoch is not None:
         on_epoch(0, prev)
@@ -653,7 +659,7 @@ def _read_matrix_file(path, schema: Schema):
         if count < 0 or dim < 1:
             raise EmbeddingFileError(f"bad header {header!r}, expected count >= 0 and dim >= 1", 1)
         labels: tuple[list[str], ...] = ([], [], [])
-        parties: list[int] = []
+        parties: dict[str, int] = {}  # each label's party, in file order
         blocks: list[np.ndarray] = []
         rows = ((line_no, line) for line_no, raw in enumerate(fh, start=2) if (line := raw.strip()))
         while chunk := list(itertools.islice(rows, _READ_CHUNK)):
@@ -661,13 +667,13 @@ def _read_matrix_file(path, schema: Schema):
         if len(parties) != count:
             raise EmbeddingFileError(f"header declares {count} rows but file has {len(parties)}")
     values = np.concatenate(blocks) if blocks else np.zeros((0, dim))
-    party_of = np.array(parties, dtype=np.int64)
+    party_of = np.array(list(parties.values()), dtype=np.int64)
     return labels, [values[party_of == p] for p in range(N_PARTIES)]
 
 
 def _read_rows(chunk: list[tuple[int, str]], dim: int, schema: Schema,
-               labels: tuple[list[str], ...], parties: list[int]) -> np.ndarray:
-    """Values of numbered non-empty lines ``label v1 .. v_dim``; appends their labels and parties.
+               labels: tuple[list[str], ...], parties: dict[str, int]) -> np.ndarray:
+    """Values of numbered non-empty lines ``label v1 .. v_dim``; adds their labels and parties.
 
     numpy parses the chunk's values in one call. Where that fails or finds
     another field count, the lines are parsed one by one as ``float()``
@@ -684,11 +690,13 @@ def _read_rows(chunk: list[tuple[int, str]], dim: int, schema: Schema,
     else:
         values = np.array([_line_values(line, line_no, dim, schema) for line_no, line in chunk],
                           dtype=np.float64).reshape(len(chunk), dim)
-    for _, line in chunk:
+    for line_no, line in chunk:
         label = line.split(None, 1)[0]
+        if label in parties:
+            raise EmbeddingFileError(f"label {label!r} listed twice", line_no)
         party = schema.party_of_label(label)
         labels[party].append(label)
-        parties.append(party)
+        parties[label] = party
     return values
 
 

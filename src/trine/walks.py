@@ -83,8 +83,8 @@ class TypedCorpus:
     subsequences of the walks, in walk order, and ``offsets[p]`` (int64, one
     more entry than there are sequences) delimits them: sequence ``s`` is
     ``nodes[p][offsets[p][s]:offsets[p][s + 1]]``. A position in ``nodes[p]``
-    is an occurrence; every derived structure (window pairs, occurrence
-    lookup, exclusion buckets) is indexed by these flat positions.
+    is an occurrence. The sampler, the trainer and the loss draw read the
+    corpus in one layout over global rows, :meth:`in_rows`.
     """
 
     nodes: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -104,8 +104,19 @@ class TypedCorpus:
         nodes, offsets = self.nodes[party], self.offsets[party]
         return [nodes[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])]
 
-    def occurrence_counts(self, party: int, n: int) -> np.ndarray:
-        return np.bincount(self.nodes[party], minlength=n)
+    def in_rows(self, offsets: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All parties' corpora end to end, in global rows: int32 ``nodes``, ``lo``, ``hi``.
+
+        Node ``i`` of party ``p`` is row ``offsets[p] + i``, and ``lo`` /
+        ``hi`` are the windows of :meth:`windows` in these positions.
+        """
+        base = np.cumsum([0] + [len(nodes) for nodes in self.nodes])
+        nodes, lo, hi = (np.empty(base[-1], dtype=np.int32) for _ in range(3))
+        for p, (a, b) in enumerate(zip(base[:-1], base[1:])):
+            np.add(self.nodes[p], offsets[p], out=nodes[a:b], casting="unsafe")
+            for bound, out in zip(self.windows(p, window), (lo, hi)):
+                np.add(bound, a, out=out[a:b], casting="unsafe")
+        return nodes, lo, hi
 
     def windows(self, party: int, window: int) -> tuple[np.ndarray, np.ndarray]:
         """Each occurrence's context window ``[lo, hi)`` of flat positions.

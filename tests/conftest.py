@@ -1,9 +1,41 @@
 import itertools
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from trine.graph import RELATION_OF_PAIR, RELATIONS, GraphBuilder, build_from_pairs
+
+
+# Appended to a bounded child's script: its own peak resident set, in kB.
+_PRINT_PEAK = """
+print([int(line.split()[1]) for line in open("/proc/self/status") if line.startswith("VmHWM:")][0])
+"""
+
+
+def run_bounded(script: str, *args: str, limit: int = 2 << 30) -> tuple[list[str], int]:
+    """Run a Python ``script`` with ``args`` in a child under an address-space limit of ``limit`` bytes.
+
+    A dense regression fails fast there instead of taking gigabytes, and the
+    child imports trine from wherever this process does. Returns the lines
+    the script printed and the child's own peak resident set in kB. That is
+    its VmHWM, which exec resets; a child's ``ru_maxrss`` would also count
+    the peak of the process that spawned it.
+    """
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("reads the child's peak from /proc/self/status")
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", script + _PRINT_PEAK, *args], capture_output=True,
+                         text=True, timeout=300, check=True, preexec_fn=limit_address_space, env=env)
+    *lines, peak_kb = out.stdout.splitlines()
+    return lines, int(peak_kb)
 
 
 @pytest.fixture

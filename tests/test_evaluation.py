@@ -201,6 +201,12 @@ class TestKFold:
             assert abs(in_fold.sum() - n_pos / 5) <= 1
             assert abs((in_fold == 0).sum() - n_neg / 5) <= 1
 
+    def test_class_smaller_than_folds(self):
+        labels = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
+        with pytest.raises(EvalError, match="class 1 has 3 samples, fewer than 5 folds"):
+            kfold_split(labels, 5, np.random.default_rng(0))
+        assert sorted(set(kfold_split(labels, 3, np.random.default_rng(0)))) == [0, 1, 2]
+
     def test_too_few_samples(self):
         with pytest.raises(EvalError):
             kfold_split(np.array([1, 0]), 3, np.random.default_rng(0))
@@ -454,6 +460,22 @@ class TestEndToEnd:
         with pytest.raises(EvalError, match="l2 must be non-negative and finite"):
             evaluate_end_to_end(g, default_metapaths(), cfg, relation=2, folds=3, l2=l2)
         assert trained == []
+
+    def test_class_smaller_than_folds_fails_before_any_fold_trains(self, monkeypatch):
+        import trine.evaluation as evaluation
+
+        trained = []
+        monkeypatch.setattr(evaluation, "train", lambda graph, *args, **kwargs: trained.append(graph))
+        # relation 2 (user-item) has 3 edges, so 5 folds cannot each hold a positive
+        g = build_from_pairs((3, 1, 3), [(0, 0, 0, 1.0), (1, 0, 0, 1.0)]
+                             + [(2, i, i, 1.0) for i in range(3)])
+        cfg = TrainConfig(dim=4, epochs=1, seed=2, max_walks=1, walk_length=4)
+        with pytest.raises(EvalError, match="has 3 samples, fewer than 5 folds"):
+            evaluate_end_to_end(g, default_metapaths(), cfg, relation=2, folds=5)
+        assert trained == []
+        store = init_embeddings(g, cfg, np.random.default_rng(0))
+        with pytest.raises(EvalError, match="has 3 samples, fewer than 5 folds"):
+            evaluate(store, g, relation=2, folds=5)
 
     def test_deterministic(self):
         g = planted_graph((12, 8, 6), 2, 0.6, 0.1, seed=6)

@@ -4,18 +4,20 @@ The digest was recorded on the list-of-lists corpus with dict-of-set
 exclusion buckets, before the corpus became flat arrays, and recorded again
 when a centre's admissible mass stopped counting the centre twice (the loss
 draw then gives negatives to centres it used to skip), and recorded once
-more when the loss draw took its negatives from one ``sample_many`` call
-per party, in the training batch's (centres, context rows, live entries)
-form, instead of one scalar ``sample`` call per centre, and recorded again
-when each walk's draws moved from its own numpy ``default_rng`` stream to a
-counter-based SplitMix64 stream (the walks moved), and recorded again when
-``sample_many`` stopped drawing in rejection rounds and inverted each
-centre's admissible cumulative instead (the negatives moved; the buckets
-did not). Everything hashed
-is an integer, so the digest does not depend on the BLAS build or on float
-summation order. A change that alters the walks, the per-type split, the
-window co-occurrence buckets or the random stream of the loss-evaluation
-draw (its window pairs and their negatives) changes it.
+more when the loss draw took its negatives from one bulk call per party
+(then ``sample_many``, now :meth:`NegativeSampler.invert`), in the
+training batch's (centres, context rows, live entries) form, instead of one
+scalar ``sample`` call per centre, and recorded again when each walk's
+draws moved from its own numpy ``default_rng`` stream to a counter-based
+SplitMix64 stream (the walks moved), and recorded again when the bulk draw
+stopped drawing in rejection rounds and inverted each centre's admissible
+cumulative instead (the negatives moved; the buckets did not). It holds
+for the buckets and the loss draw built from the corpus in global rows,
+one window offset at a time. Everything hashed is an integer, so the
+digest does not depend on the BLAS build or on float summation order. A
+change that alters the walks, the per-type split, the window
+co-occurrence buckets or the random stream of the loss-evaluation draw
+(its window pairs and their negatives) changes it.
 
 The batch digests cover training itself: every batch's edges, implicit
 centres, context rows and live entries over two epochs, as ``train`` hands
@@ -70,7 +72,7 @@ def integer_digest(seed: int) -> tuple[str, list[int]]:
         _int_block(h, [i for s in seqs for i in s])
         for i in range(g.counts[p]):
             _int_block(h, sorted(sampler.exclusion_bucket(Node(p, i))))
-    sample = _loss_sample(typed, sampler, cfg)
+    sample = _loss_sample(*typed.in_rows(g.offsets, cfg.window), g.offsets, sampler, cfg)
     for centers, contexts, live in sample:
         for arr in (centers, contexts.ravel(), live.ravel()):
             _int_block(h, arr)

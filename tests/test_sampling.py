@@ -225,8 +225,17 @@ class TestSampleNegatives:
         assert a == b
 
 
+def draw(sampler, centers, ns, rng):
+    """``ns`` negatives for each of party 0's ``centers`` from one ``rng.random`` call, as a batch draws.
+
+    Party 0 starts at global row 0, so its indices are its global rows.
+    """
+    centers = np.asarray(centers, dtype=np.int64)
+    return sampler.invert(centers, rng.random((len(centers), ns)))
+
+
 class TestSampleMany:
-    """The bulk draw against the single-centre sampler and the renormalized table."""
+    """The bulk draw (see :func:`draw`) against the single-centre sampler and the renormalized table."""
 
     def _sampler(self):
         # node 0 co-occurs with the five heavy nodes 1-5, so its admissible mass
@@ -246,22 +255,22 @@ class TestSampleMany:
             for seed in range(10):
                 rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
                 expected = sampler.sample(Node(0, c), 7, ref_rng)
-                assert sampler.sample_many(0, np.array([c]), 7, rng)[0].tolist() == expected
+                assert draw(sampler, np.array([c]), 7, rng)[0].tolist() == expected
                 assert rng.random() == ref_rng.random()
 
     def test_zero_negatives_and_no_centres(self):
         sampler, _, _ = self._sampler()
         rng = np.random.default_rng(0)
-        assert sampler.sample_many(0, np.array([0, 6]), 0, rng).shape == (2, 0)
-        assert sampler.sample_many(0, np.array([], dtype=np.int64), 3, rng).shape == (0, 3)
+        assert draw(sampler, np.array([0, 6]), 0, rng).shape == (2, 0)
+        assert draw(sampler, np.array([], dtype=np.int64), 3, rng).shape == (0, 3)
         assert rng.random() == np.random.default_rng(0).random()
 
     def test_centre_without_negatives_raises(self):
         g = build_from_pairs((2, 1, 0), [(0, i, 0, 1.0) for i in range(2)])
         sampler = NegativeSampler.build(typed_corpus(seqs_u=[[0, 1]]), g, window=1)
-        assert not sampler.has_negatives_many(0, np.array([0, 1])).any()
+        assert not sampler.has_negatives_at(np.array([0, 1])).any()
         with pytest.raises(SamplerError, match="degenerate"):
-            sampler.sample_many(0, np.array([0]), 2, np.random.default_rng(0))
+            sampler.sample(Node(0, 0), 2, np.random.default_rng(0))
 
     def test_many_centres_follow_renormalized_tables(self):
         sampler, restricted, rejection = self._sampler()
@@ -270,7 +279,7 @@ class TestSampleMany:
         centers = np.array(restricted + rejection)
         # interleaved centres, so that short and long exclusion rows mix in each call
         batch = np.tile(centers, 40)
-        flat = np.concatenate([sampler.sample_many(0, batch, 4, rng).ravel() for _ in range(100)])
+        flat = np.concatenate([draw(sampler, batch, 4, rng).ravel() for _ in range(100)])
         owners = np.repeat(np.tile(batch, 100), 4)
         assert len(flat) >= 100_000
         for c in centers:
@@ -308,7 +317,7 @@ class TestTopDraw:
         g = build_from_pairs((n, 1, 0), [(0, i, 0, 1.0) for i in range(n)])
         sampler = NegativeSampler.build(typed_corpus(seqs_u=seqs), g, window=1)
         one = sampler.sample(Node(0, center), 3, _Fed(u))
-        many = sampler.sample_many(0, np.array([center, center]), 3, _Fed(u))
+        many = draw(sampler, np.array([center, center]), 3, _Fed(u))
         return sampler, one, many.tolist()
 
     def test_party_table_never_gives_a_trailing_zero_mass_node(self):
@@ -414,7 +423,7 @@ class TestFlatTable:
 
 
 class TestOneCentreInversion:
-    """``sample_many``'s gap search against ``sample``'s explicit table, uniform by uniform."""
+    """:meth:`NegativeSampler.invert`'s gap search against ``sample``'s explicit table, uniform by uniform."""
 
     @settings(max_examples=300, deadline=None)
     @given(seqs=st.lists(st.lists(st.integers(0, 11), max_size=10), max_size=8),
@@ -435,7 +444,7 @@ class TestOneCentreInversion:
             u = np.concatenate([[0.0, _TOP], rng.random(20)])
             ref, fed = _Fed(*u), _Fed(*u)
             expected = sampler.sample(center, len(u), ref)
-            assert sampler.sample_many(0, np.array([c]), len(u), fed)[0].tolist() == expected
+            assert draw(sampler, np.array([c]), len(u), fed)[0].tolist() == expected
             assert fed.used == ref.used == len(u)
             # every table boundary: the two searches round differently, so a
             # uniform on the boundary of two nodes may go to either of them
@@ -443,11 +452,11 @@ class TestOneCentreInversion:
             if len(u):
                 above = sampler.sample(center, len(u), _Fed(*u))
                 under = sampler.sample(center, len(u), _Fed(*np.nextafter(u, 0.0)))
-                got = sampler.sample_many(0, np.array([c]), len(u), _Fed(*u))[0].tolist()
+                got = draw(sampler, np.array([c]), len(u), _Fed(*u))[0].tolist()
                 assert all(z in pair for z, pair in zip(got, zip(above, under)))
         # every centre with negatives in one call: rows of all lengths in one search
-        centers = np.flatnonzero(sampler.has_negatives_many(0, np.arange(12)))
+        centers = np.flatnonzero(sampler.has_negatives_at(np.arange(12)))
         ref_rng, real = np.random.default_rng(seed), np.random.default_rng(seed)
         expected = [sampler.sample(Node(0, c), 5, ref_rng) for c in centers.tolist()]
-        assert sampler.sample_many(0, centers, 5, real).tolist() == expected
+        assert draw(sampler, centers, 5, real).tolist() == expected
         assert real.random() == ref_rng.random()

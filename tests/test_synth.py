@@ -1,25 +1,17 @@
-import os
-import resource
-import subprocess
-import sys
-
 import numpy as np
 
 from trine import synth
 from trine.graph import RELATIONS
 from trine.synth import planted_graph
 
+from conftest import run_bounded
+
+# a dense n_a x n_b regression would take gigabytes
 _PAPER_COUNTS_BUILD = """
-import resource
 from trine.synth import planted_graph
 g = planted_graph((3911, 21076, 5013), 3, 2e-4, 2e-5, seed=1)
-print(g.num_edges, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(g.num_edges)
 """
-
-
-def _limit_address_space():
-    # a dense n_a x n_b regression fails fast instead of taking gigabytes
-    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
 class TestPlantedGraph:
@@ -33,11 +25,6 @@ class TestPlantedGraph:
             assert np.array_equal(rowwise.edge_wt[r], whole.edge_wt[r])
 
     def test_paper_node_counts_in_bounded_memory(self):
-        # the child imports trine from wherever this process does
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        out = subprocess.run([sys.executable, "-c", _PAPER_COUNTS_BUILD], capture_output=True,
-                             text=True, timeout=300, check=True, preexec_fn=_limit_address_space,
-                             env=env)
-        n_edges, peak_kb = map(int, out.stdout.split())
-        assert n_edges > 0
+        (n_edges,), peak_kb = run_bounded(_PAPER_COUNTS_BUILD)
+        assert int(n_edges) > 0
         assert peak_kb < 600 * 1024

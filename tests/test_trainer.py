@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -21,7 +22,7 @@ from trine.trainer import (EmbeddingStore, TrainConfig, _BATCH_EDGES, _INIT_STRE
                            load_embeddings, save_embeddings, sigmoid, train)
 from trine.walks import TypedCorpus, window_pairs
 
-from conftest import random_tripartite
+from conftest import random_tripartite, run_bounded
 from test_sampling import brute_force_pairs
 
 # Minor page faults of `train` on the acceptance graph at test_trained_auc's
@@ -46,6 +47,25 @@ def faults(epochs):
 n = int(sys.argv[1])
 faults(n)
 print(g.num_edges, faults(n), faults(2 * n))
+"""
+
+# `train` to epoch 0 at the CLI defaults on the benchmark's paper graph
+# (bench/plant.py, seed 1, read as `trine train` reads it): walks, sampler
+# build, occurrence index and loss draw. Argv: the bench directory and a path
+# for the edge list.
+_PAPER_GRAPH_SETUP = """
+import sys
+sys.dont_write_bytecode = True  # leave the bench directory as it is
+sys.path.append(sys.argv[1])
+import plant
+from trine.graph import load_edge_list
+from trine.trainer import TrainConfig, default_metapaths, train
+
+plant.paper_graph(1, sys.argv[2])
+g = load_edge_list(sys.argv[2])
+reported = []
+train(g, default_metapaths(), TrainConfig(epochs=0), on_epoch=lambda epoch, loss: reported.append(epoch))
+print(g.num_nodes, reported)
 """
 
 
@@ -477,19 +497,23 @@ class ReferenceOccurrences(NamedTuple):
     def of(cls, typed, party, n, window):
         lo, hi = typed.windows(party, window)
         order = np.argsort(typed.nodes[party], kind="stable").astype(np.int32)
-        start = np.concatenate([[0], np.cumsum(typed.occurrence_counts(party, n))])
+        start = np.concatenate([[0], np.cumsum(np.bincount(typed.nodes[party], minlength=n))])
         return cls(typed.nodes[party], lo.astype(np.int32), hi.astype(np.int32), order, start)
 
 
-def reference_with_negatives(party, centers, partners, sampler, ns, rng):
-    """Each pair's context row and live entries, the negatives from one ``sample_many`` call."""
-    has = sampler.has_negatives_many(party, centers)
+def reference_with_negatives(offset, centers, partners, sampler, ns, rng):
+    """Each pair's context row and live entries, the negatives from one ``rng.random`` call.
+
+    ``centers``, ``partners`` and the negatives are indices within the party
+    whose global rows start at ``offset``.
+    """
+    has = sampler.has_negatives_at(offset + centers)
     contexts = np.repeat(partners[:, None], 1 + ns, axis=1)
-    contexts[has, 1:] = sampler.sample_many(party, centers[has], ns, rng)
+    contexts[has, 1:] = sampler.invert(offset + centers[has], rng.random((int(has.sum()), ns))) - offset
     return contexts, (np.arange(1 + ns) == 0) | has[:, None]
 
 
-def reference_implicit_pairs(occ, party, centers, step, sampler, ns, rng):
+def reference_implicit_pairs(occ, offset, centers, step, sampler, ns, rng):
     """One party's implicit pairs of a batch, for its endpoints ``centers`` each at ``step``."""
     first = occ.start[centers]
     count = occ.start[centers + 1] - first
@@ -498,7 +522,7 @@ def reference_implicit_pairs(occ, party, centers, step, sampler, ns, rng):
     at = occ.order[first[seen] + rng.integers(count[seen])]
     pick, partners = window_pairs(occ.lo[at], occ.hi[at], at=at)
     centers = centers[pick]
-    contexts, live = reference_with_negatives(party, centers, occ.nodes[partners], sampler, ns, rng)
+    contexts, live = reference_with_negatives(offset, centers, occ.nodes[partners], sampler, ns, rng)
     return centers, contexts, step[pick][:, None] * live
 
 
@@ -511,7 +535,7 @@ def reference_batch_pairs(g, typed, sampler, window, end_party, end_index, end_l
         ends = end_party == p
         occ = ReferenceOccurrences.of(typed, p, g.counts[p], window)
         centers, contexts, pair_step = reference_implicit_pairs(
-            occ, p, end_index[ends], alpha[p] * end_lr[ends], sampler, ns, rng)
+            occ, g.offsets[p], end_index[ends], alpha[p] * end_lr[ends], sampler, ns, rng)
         pairs.append((centers + g.offsets[p], contexts + g.offsets[p], pair_step))
     return tuple(map(np.concatenate, zip(*pairs)))
 
@@ -654,11 +678,11 @@ class TestComputeLoss:
         cfg = TrainConfig(dim=4, window=1, negatives=3, seed=5)
         sampler = NegativeSampler.build(typed, g, cfg.power, cfg.window)
         store = make_store(counts, cfg.dim, np.random.default_rng(8))
-        sample = trainer._loss_sample(typed, sampler, cfg)
+        sample = trainer._loss_sample(*typed.in_rows(g.offsets, cfg.window), g.offsets, sampler, cfg)
         expected = []
         for p, (centers, contexts, live) in enumerate(sample):
             assert contexts.shape == live.shape == (len(centers), 1 + cfg.negatives)
-            empty = ~sampler.has_negatives_many(p, centers)
+            empty = ~sampler.has_negatives_at(g.offsets[p] + centers)
             dead = np.zeros_like(live)
             dead[empty, 1:] = True
             assert np.array_equal(~live, dead)
@@ -786,6 +810,14 @@ class TestTrain:
         extra_batches = n * -(-n_edges // _BATCH_EDGES)
         assert (twice - once) / extra_batches < 57.5, (once, twice, extra_batches)
 
+    @pytest.mark.parametrize("bad", [dict(alpha=(1.0, 1.0)), dict(beta=(1.0,) * 4)])
+    def test_alpha_and_beta_need_three_weights(self, bad):
+        with pytest.raises(ConfigError, match="need 3 alpha and 3 beta weights"):
+            TrainConfig(**bad).validate()
+        g = build_from_pairs((2, 2, 2), [(0, 0, 0, 1.0), (1, 0, 0, 1.0), (2, 0, 0, 1.0)])
+        with pytest.raises(ConfigError):
+            train(g, default_metapaths(), TrainConfig(dim=2, epochs=1, **bad))
+
     def test_config_validation(self):
         non_finite = (math.nan, math.inf, -math.inf)
         for bad in [dict(dim=0), dict(lr=0.0), dict(min_walks=5, max_walks=2),
@@ -795,6 +827,17 @@ class TestTrain:
                     *({f: (1.0, v, 1.0)} for f in ("alpha", "beta") for v in non_finite)]:
             with pytest.raises(ConfigError):
                 TrainConfig(**bad).validate()
+
+
+class TestBoundedMemory:
+    def test_setup_at_cli_defaults_on_the_paper_graph(self, tmp_path):
+        # Building the exclusion rows from every window pair of a party at
+        # once peaked at about 1.2 GB here; one window offset at a time, at
+        # about 0.5 GB.
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        (line,), peak_kb = run_bounded(_PAPER_GRAPH_SETUP, str(bench), str(tmp_path / "paper.txt"))
+        assert line == "30000 [0]"
+        assert peak_kb < 700 * 1024
 
 
 class TestPersistence:
@@ -832,6 +875,12 @@ class TestPersistence:
         path = tmp_path / "bad.txt"
         path.write_text(text)
         with pytest.raises(EmbeddingFileError, match="line 1: bad header"):
+            load_embeddings(path, DEFAULT_SCHEMA)
+
+    def test_label_listed_twice_reports_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("4 2\nu0 1 1\nu0 2 2\np0 1 1\nc0 1 1\n")
+        with pytest.raises(EmbeddingFileError, match="line 3: label 'u0' listed twice"):
             load_embeddings(path, DEFAULT_SCHEMA)
 
     def test_malformed_row_reports_line(self, tmp_path):
