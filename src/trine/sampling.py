@@ -172,6 +172,7 @@ class NegativeSampler:
         ns = u.shape[1]
         if u.size == 0:
             return np.empty(u.shape, dtype=np.int64)
+        # per draw arrays are updated in place, so that few of them are held at once
         v = (u * t.mass[rows][:, None]).ravel()
         # cur ends at the last member of each draw's row whose `below` is <= v
         # (one before the row if none is); each step tries to advance every
@@ -179,33 +180,46 @@ class NegativeSampler:
         cur = np.repeat(t.starts[rows] - 1, ns)
         last = np.repeat(t.starts[rows + 1] - 1, ns)
         step = 1 << (int((last - cur).max()).bit_length() - 1)
+        nxt, below = np.empty_like(cur), np.empty_like(v)
         while step:
-            nxt = cur + step
-            ok = t.below.take(nxt, mode="clip") <= v
+            np.add(cur, step, out=nxt)
+            ok = t.below.take(nxt, mode="clip", out=below) <= v
             ok &= nxt <= last
-            cur = np.where(ok, nxt, cur)
+            np.copyto(cur, nxt, where=ok)
             step >>= 1
+        del nxt, below, ok
         # v lies in the gap after member cur (or the party's start) and
         # before member cur + 1 (or the party's end)
         cum = t.cumulative
-        inner = cur >= np.repeat(t.starts[rows], ns)
-        v[inner] = cum.take(t.members.take(cur[inner])) + (v[inner] - t.below.take(cur[inner]))
-        party = np.repeat(self._offsets.searchsorted(rows, side="right") - 1, ns)
-        end = np.where(cur < last, t.members.take(cur + 1, mode="clip"), self._offsets[party + 1])
+        inner = np.flatnonzero(cur >= np.repeat(t.starts[rows], ns))
+        at = cur.take(inner)
+        gap = v.take(inner)
+        gap -= t.below.take(at)
+        gap += cum.take(t.members.take(at))
+        v[inner] = gap
+        del inner, at, gap
+        party = self._offsets.searchsorted(rows, side="right") - 1
+        end = np.repeat(self._offsets[party + 1], ns)
+        more = np.flatnonzero(cur < last)
+        end[more] = t.members.take(cur.take(more) + 1)
+        del cur, last, more
         # the pick: v's node in its party's table, searched party by party
         # over the draws sorted by (party, v); v is in [0, 1] up to rounding,
         # so 2 * party + v sorts them so
-        order = np.argsort(2.0 * party + v)
-        keys = v.take(order)
-        found = np.empty(len(v), dtype=np.int64)
+        party = np.repeat(party, ns)
+        keys = 2.0 * party
+        keys += v
+        order = np.argsort(keys)
+        keys = v.take(order, out=keys)
+        del v
+        picks = np.empty(len(keys), dtype=np.int64)
         a = 0
         for p, k in enumerate(np.bincount(party, minlength=N_PARTIES).tolist()):
             lo, hi = self._offsets[p], self._offsets[p + 1]
-            found[a:a + k] = cum[lo:hi].searchsorted(keys[a:a + k], side="right") + lo
+            picks[order[a:a + k]] = cum[lo:hi].searchsorted(keys[a:a + k], side="right") + lo
             a += k
-        picks = np.empty(len(v), dtype=np.int64)
-        picks[order] = found
-        return np.minimum(picks, t.gap_top.take(end)).reshape(u.shape)
+        del party, keys, order
+        return np.minimum(picks, t.gap_top.take(end), out=picks).reshape(u.shape)
 
 
 def _exclusion_rows(nodes: np.ndarray, hi: np.ndarray, window: int,

@@ -17,12 +17,26 @@ but a party with fewer nodes than a batch has endpoints still gets several
 summed gradients per row in every batch. A skip-gram pair, in a batch or in
 the fixed loss-evaluation draw, is a centre, a context row (the partner,
 then its negatives) and a mask of live entries, as :func:`_context_rows`
-makes them. A batch makes the pairs of all three parties in one pass over
-global rows (:func:`_implicit_pairs`): the generator is called party by
-party, and then one window scan and one :meth:`NegativeSampler.invert`
-serve them all. A :func:`train` call makes the batch kernel's large
-buffers once, sized for the largest batch its settings allow, and every
-batch reuses them.
+makes them.
+
+No draw reads the parameters, so :func:`train` prepares the batches on one
+worker thread, ``_CHUNK_BATCHES`` consecutive batches (a chunk) at a time,
+while the calling thread runs the batch kernel on the chunk before
+(:func:`_chunks`). The worker is the training generator's only user; it
+draws each epoch's permutation and makes the per-edge steps and every
+batch's pairs. A chunk's pairs come from one pass over global rows
+(:func:`_implicit_pairs`): the generator is called batch by batch and party
+by party, in the order a batch at a time would call it, and then one window
+scan and one :meth:`NegativeSampler.invert` serve the whole chunk. So the
+outputs are those of the serial loop, bit for bit. Everything that reads or
+writes ``emb`` and ``ctx`` runs on the calling thread: the kernel, its
+finite check and the rollback to the checkpoint, the loss and ``on_epoch``.
+At most two chunks are alive at once, the one the kernel runs on and the
+one the worker makes. The worker's temporaries come from its own allocator
+arena and add to the peak; at 6 batches a chunk they add about 1.2 MB
+(3%) to the peak resident set of ``train`` at the acceptance settings. A
+:func:`train` call makes the batch kernel's large buffers once, sized for
+the largest batch its settings allow, and every batch reuses them.
 """
 
 from __future__ import annotations
@@ -30,8 +44,9 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -63,6 +78,12 @@ _READ_CHUNK = 4_096
 # 1024 edges a 30-node party's rows get hundreds per batch and diverge, and a
 # single batch of ~3.8k edges ending at 3-node parties diverges too.
 _BATCH_EDGES = 64
+
+# Batches in a chunk: the worker thread prepares one chunk while the calling
+# thread runs the kernel on the one before. Each further batch adds about
+# 0.2 MB to the peak at the acceptance settings; 6 keeps accept's peak
+# within 5% of the serial loop's, and 8 did not.
+_CHUNK_BATCHES = 6
 
 
 def sigmoid(x: float) -> float:
@@ -397,46 +418,54 @@ def _context_rows(partners: np.ndarray, has: np.ndarray, negatives: np.ndarray):
     return contexts, (np.arange(contexts.shape[1]) == 0) | has[:, None]
 
 
-def _implicit_pairs(occ: _Occurrences, ends: np.ndarray, end_party: np.ndarray, step: np.ndarray,
-                    alpha: tuple[float, float, float], sampler: NegativeSampler, ns: int,
-                    rng: np.random.Generator):
-    """One batch's implicit pairs for its endpoints, at global rows ``ends`` of parties ``end_party``.
+def _implicit_pairs(occ: _Occurrences, ends: np.ndarray, end_party: np.ndarray, end_batch: np.ndarray,
+                    batches: int, step: np.ndarray, alpha: tuple[float, float, float],
+                    sampler: NegativeSampler, ns: int, rng: np.random.Generator):
+    """The implicit pairs of a chunk of ``batches`` consecutive batches, batch by batch.
 
-    Party by party, for each party with alpha > 0: each of its endpoints
-    that occurs in the corpus draws one occurrence uniformly (one
-    ``rng.integers`` call), and then the uniforms of the negatives of its
-    pairs are drawn (one ``rng.random`` call, ``ns`` per pair whose centre
-    has admissible negatives). Each partner in a drawn occurrence's window
-    makes a pair. One window scan and one :meth:`NegativeSampler.invert`
-    then serve every party. Returns the pairs' centres and context rows (see
+    The chunk's endpoints are at global rows ``ends`` of parties
+    ``end_party``, and ``end_batch`` numbers each endpoint's batch, in
+    order. Batch by batch and party by party, for each party with alpha >
+    0: each of its endpoints that occurs in the corpus draws one occurrence
+    uniformly (one ``rng.integers`` call), and then the uniforms of the
+    negatives of its pairs are drawn (one ``rng.random`` call, ``ns`` per
+    pair whose centre has admissible negatives). Each partner in a drawn
+    occurrence's window makes a pair. One window scan and one
+    :meth:`NegativeSampler.invert` then serve every batch and party.
+    Returns, for each batch, its pairs' centres and context rows (see
     :func:`_context_rows`), in global rows, party by party and in endpoint
     order within a party, and the entries' steps: the endpoint's ``step``
-    times its party's alpha, 0 on the entries that are not live.
+    times its party's alpha, 0 on the entries that are not live. These are
+    the pairs the batch gets as a chunk of its own.
     """
     first = occ.start[ends]
     count = occ.start[ends + 1] - first
     party_alpha = np.asarray(alpha)[end_party]
-    # the endpoints of trained parties that occur in the corpus, party by party
+    # the endpoints of trained parties that occur in the corpus, by batch, then party
     mine = np.flatnonzero((count > 0) & (party_alpha != 0.0))
-    mine = mine[np.argsort(end_party[mine], kind="stable")]
-    has = sampler.has_negatives_at(ends[mine])
+    group = end_batch[mine] * N_PARTIES + end_party[mine]
+    order = np.argsort(group, kind="stable")
+    mine, group = mine[order], group[order]
+    first, count, has = first[mine], count[mine], sampler.has_negatives_at(ends[mine])
     at = np.empty(len(mine), dtype=np.int32)
     uniforms = [np.empty((0, ns))]
     a = 0
-    for p, k in enumerate(np.bincount(end_party[mine], minlength=N_PARTIES).tolist()):
-        if alpha[p] == 0.0:
+    for grp, k in enumerate(np.bincount(group, minlength=batches * N_PARTIES).tolist()):
+        if alpha[grp % N_PARTIES] == 0.0:
             continue
-        these = mine[a:a + k]
-        at[a:a + k] = occ.order[first[these] + rng.integers(count[these])]
-        span = occ.hi[at[a:a + k]] - occ.lo[at[a:a + k]] - 1
-        uniforms.append(rng.random((int(span[has[a:a + k]].sum()), ns)))
-        a += k
+        b = a + k
+        at[a:b] = occ.order[first[a:b] + rng.integers(count[a:b])]
+        span = occ.hi[at[a:b]] - occ.lo[at[a:b]] - 1
+        uniforms.append(rng.random((int(span[has[a:b]].sum()), ns)))
+        a = b
+    uniforms = np.concatenate(uniforms)  # the pieces go before the inversion's temporaries come
     pick, partners = window_pairs(occ.lo[at], occ.hi[at], at=at)
     centers, has = ends[mine][pick], has[pick]
-    contexts, live = _context_rows(occ.nodes[partners], has,
-                                   sampler.invert(centers[has], np.concatenate(uniforms)))
+    contexts, live = _context_rows(occ.nodes[partners], has, sampler.invert(centers[has], uniforms))
     weight = party_alpha[mine] * step[mine]
-    return centers, contexts, weight[pick][:, None] * live
+    cuts = (group[pick] // N_PARTIES).searchsorted(np.arange(1, batches))
+    return list(zip(np.split(centers, cuts), np.split(contexts, cuts),
+                    np.split(weight[pick][:, None] * live, cuts)))
 
 
 def _explicit_loss(store: EmbeddingStore, g: TripartiteGraph) -> tuple[float, float, float]:
@@ -516,6 +545,47 @@ def compute_loss(store: EmbeddingStore, g: TripartiteGraph, typed: TypedCorpus,
     return _loss_on_sample(store, g, sample, cfg)
 
 
+def _chunks(g: TripartiteGraph, occ: _Occurrences, sampler: NegativeSampler, cfg: TrainConfig,
+            rng: np.random.Generator) -> Iterator[list[tuple[np.ndarray, ...]]]:
+    """The arguments of every batch's :func:`_minibatch_step` call but the parameters, a chunk at a time.
+
+    Each epoch permutes the edges of all relations (one ``rng.permutation``
+    call) and takes them ``_BATCH_EDGES`` at a time, and ``_CHUNK_BATCHES``
+    consecutive batches make a chunk, the last chunk of an epoch perhaps
+    fewer. A chunk's implicit pairs come from one :func:`_implicit_pairs`
+    pass. With ``cfg.lr_decay`` the step decays linearly per edge, counted
+    in permuted order. Yields each chunk as a list of its batches'
+    ``(src, dst, edge_step, centers, contexts, pair_step)``. Nothing here
+    reads ``emb`` or ``ctx``.
+    """
+    edges = g.edge_rows
+    # every edge of every relation: its endpoints' global rows and parties,
+    # and its explicit coefficient
+    ends = np.stack([edges.src, edges.dst], axis=1).astype(np.int32)
+    party = np.array(RELATIONS, dtype=np.int8)[edges.relation]
+    coef = cfg.gamma * np.asarray(cfg.beta)[edges.relation] * edges.wt
+    total_steps = max(1, cfg.epochs * len(coef))
+    size = _CHUNK_BATCHES * _BATCH_EDGES
+    step = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(coef))
+        for begin in range(0, len(order), size):
+            chunk = order[begin:begin + size]
+            lr = np.full(len(chunk), cfg.lr)
+            if cfg.lr_decay:
+                lr *= np.maximum(0.01, 1.0 - (step + np.arange(len(chunk))) / total_steps)
+            step += len(chunk)
+            cuts = np.arange(_BATCH_EDGES, len(chunk), _BATCH_EDGES)
+            # the chunk's endpoints, edge by edge, with their batch and their edge's lr
+            end_batch = np.repeat(np.arange(len(chunk)) // _BATCH_EDGES, 2)
+            pairs = _implicit_pairs(occ, ends[chunk].ravel(), party[chunk].ravel(), end_batch,
+                                    len(cuts) + 1, np.repeat(lr, 2), cfg.alpha, sampler,
+                                    cfg.negatives, rng)
+            explicit = zip(*(np.split(x, cuts) for x in (edges.src[chunk], edges.dst[chunk],
+                                                         lr * coef[chunk])))
+            yield [(*e, *i) for e, i in zip(explicit, pairs)]
+
+
 def train(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
           on_epoch: Callable[[int, LossReport], None] | None = None) -> EmbeddingStore:
     """Full training loop: walks, then per-epoch minibatch joint updates.
@@ -533,7 +603,10 @@ def train(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
     epoch checkpoint is returned.
 
     ``on_epoch`` is invoked with (epoch, LossReport) after the initial loss
-    evaluation (epoch 0) and after every training epoch.
+    evaluation (epoch 0) and after every training epoch, on the calling
+    thread. The batches are prepared on a worker thread that lives only
+    within the call (see the module docstring); an exception raised there
+    reaches the caller unchanged.
     """
     cfg.validate()
     if g.num_nodes == 0:
@@ -560,47 +633,41 @@ def train(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
     if on_epoch is not None:
         on_epoch(0, prev)
 
-    # every edge of every relation: its endpoints' global rows and parties,
-    # and its explicit coefficient
-    edges = g.edge_rows
-    ends = np.stack([edges.src, edges.dst], axis=1)
-    party = np.array(RELATIONS)[edges.relation]
-    coef = cfg.gamma * np.asarray(cfg.beta)[edges.relation] * edges.wt
-    scratch = _Scratch.of(cfg, min(_BATCH_EDGES, len(coef)))
+    if cfg.epochs == 0:
+        return store
 
-    total_steps = max(1, cfg.epochs * len(coef))
-    step = 0
+    scratch = _Scratch.of(cfg, min(_BATCH_EDGES, g.num_edges))
     checkpoint = (emb.copy(), ctx.copy())
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(coef))
-        try:
-            for begin in range(0, len(order), _BATCH_EDGES):
-                batch = order[begin:begin + _BATCH_EDGES]
-                lr = np.full(len(batch), cfg.lr)
-                if cfg.lr_decay:
-                    lr *= np.maximum(0.01, 1.0 - (step + np.arange(len(batch))) / total_steps)
-                step += len(batch)
-                # the batch's endpoints, edge by edge, with their edge's lr
-                pairs = _implicit_pairs(occurrences, ends[batch].ravel(), party[batch].ravel(),
-                                        np.repeat(lr, 2), cfg.alpha, sampler, cfg.negatives, rng)
-                _minibatch_step(emb, ctx, edges.src[batch], edges.dst[batch], lr * coef[batch],
-                                *pairs, scratch)
-        except NonFiniteError as exc:
-            log.error("training diverged in epoch %d (%s); returning last finite checkpoint", epoch, exc)
-            return _store_of(*checkpoint, g)
-        loss = _loss_on_sample(store, g, loss_sample, cfg)
-        if on_epoch is not None:
-            on_epoch(epoch, loss)
-        if not loss.finite:
-            log.error("objective became non-finite in epoch %d; returning last finite checkpoint", epoch)
-            return _store_of(*checkpoint, g)
-        rel_change = abs(loss.total - prev.total) / max(abs(prev.total), 1e-12)
-        np.copyto(checkpoint[0], emb)
-        np.copyto(checkpoint[1], ctx)
-        prev = loss
-        if rel_change < cfg.tol:
-            log.info("converged after epoch %d (relative change %.3g)", epoch, rel_change)
-            break
+    chunks = _chunks(g, occurrences, sampler, cfg, rng)
+    per_epoch = -(-g.num_edges // (_CHUNK_BATCHES * _BATCH_EDGES))
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="trine-batches") as worker:
+        # the worker prepares the next chunk while this thread runs the kernel
+        # on the current one; a return or an exception drops the chunk in
+        # flight, once leaving the block has waited for it
+        pending = worker.submit(next, chunks, None)
+        for epoch in range(1, cfg.epochs + 1):
+            try:
+                for _ in range(per_epoch):
+                    batches = pending.result()
+                    pending = worker.submit(next, chunks, None)
+                    for batch in batches:
+                        _minibatch_step(emb, ctx, *batch, scratch)
+            except NonFiniteError as exc:
+                log.error("training diverged in epoch %d (%s); returning last finite checkpoint", epoch, exc)
+                return _store_of(*checkpoint, g)
+            loss = _loss_on_sample(store, g, loss_sample, cfg)
+            if on_epoch is not None:
+                on_epoch(epoch, loss)
+            if not loss.finite:
+                log.error("objective became non-finite in epoch %d; returning last finite checkpoint", epoch)
+                return _store_of(*checkpoint, g)
+            rel_change = abs(loss.total - prev.total) / max(abs(prev.total), 1e-12)
+            np.copyto(checkpoint[0], emb)
+            np.copyto(checkpoint[1], ctx)
+            prev = loss
+            if rel_change < cfg.tol:
+                log.info("converged after epoch %d (relative change %.3g)", epoch, rel_change)
+                break
     return store
 
 

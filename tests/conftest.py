@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -36,6 +37,16 @@ def run_bounded(script: str, *args: str, limit: int = 2 << 30) -> tuple[list[str
                          text=True, timeout=300, check=True, preexec_fn=limit_address_space, env=env)
     *lines, peak_kb = out.stdout.splitlines()
     return lines, int(peak_kb)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves running a thread it started."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"the test left threads running: {left}")
 
 
 @pytest.fixture

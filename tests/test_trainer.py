@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
 
@@ -11,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trine.errors import ConfigError, EmbeddingFileError, NonFiniteError
-from trine.graph import DEFAULT_SCHEMA, Edge, Node, build_from_pairs
+from trine.centrality import hits
+from trine.graph import DEFAULT_SCHEMA, RELATIONS, Edge, Node, build_from_pairs
 from trine.sampling import NegativeSampler
 from trine.synth import planted_graph
 from trine import trainer
@@ -20,7 +23,7 @@ from trine.trainer import (EmbeddingStore, TrainConfig, _BATCH_EDGES, _INIT_STRE
                            compute_loss, default_metapaths,
                            explicit_update, implicit_update, init_embeddings,
                            load_embeddings, save_embeddings, sigmoid, train)
-from trine.walks import TypedCorpus, window_pairs
+from trine.walks import TypedCorpus, filter_by_type, generate_corpus, window_pairs
 
 from conftest import random_tripartite, run_bounded
 from test_sampling import brute_force_pairs
@@ -542,7 +545,7 @@ def reference_batch_pairs(g, typed, sampler, window, end_party, end_index, end_l
 
 @st.composite
 def pair_batches(draw):
-    """A graph whose page party has 3 nodes, a typed corpus over part of it, and a batch."""
+    """A graph whose page party has 3 nodes, a typed corpus over part of it, and a chunk of batches."""
     counts = (draw(st.integers(1, 9)), 3, draw(st.integers(1, 9)))
     seqs = tuple(draw(st.lists(st.lists(st.integers(0, n - 1), max_size=8), max_size=5))
                  for n in counts)
@@ -550,37 +553,50 @@ def pair_batches(draw):
     end_party = np.array(draw(st.lists(st.sampled_from(parties), max_size=16)), dtype=np.int64)
     end_index = np.array([draw(st.integers(0, counts[p] - 1)) for p in end_party.tolist()],
                          dtype=np.int64)
+    # a chunk of 1-4 consecutive batches, any of them perhaps without endpoints
+    cuts = sorted(draw(st.lists(st.integers(0, len(end_party)), max_size=3)))
     return dict(counts=counts, seqs=seqs, end_party=end_party, end_index=end_index,
+                end_batch=np.searchsorted(cuts, np.arange(len(end_party)), side="right"),
+                batches=len(cuts) + 1,
                 window=draw(st.integers(1, 3)), ns=draw(st.sampled_from([0, 1, 3])),
                 alpha=tuple(draw(st.sampled_from([0.0, 0.5, 1.0])) for _ in range(3)),
                 seed=draw(st.integers(0, 2**32 - 1)))
 
 
-def assert_one_pass_matches_reference(counts, seqs, end_party, end_index, window, ns, alpha, seed):
-    """The one pass over all parties against the per-party passes: the same pairs and rng state."""
+def assert_chunk_matches_reference(counts, seqs, end_party, end_index, window, ns, alpha, seed,
+                                   end_batch=None, batches=1):
+    """The chunk pass against the per-party passes of each batch in turn: the same pairs and rng state.
+
+    Returns the reference's pairs, batch by batch.
+    """
+    if end_batch is None:
+        end_batch = np.zeros(len(end_party), dtype=np.int64)
     g = build_from_pairs(counts, [(0, 0, 0, 1.0)])
     typed = TypedCorpus.from_sequences(seqs)
     sampler = NegativeSampler.build(typed, g, window=window)
     lr = np.random.default_rng(seed).uniform(0.01, 0.1, size=len(end_party))
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    expected = reference_batch_pairs(g, typed, sampler, window, end_party, end_index, lr, alpha,
-                                     ns, ref_rng)
+    expected = [reference_batch_pairs(g, typed, sampler, window, end_party[end_batch == b],
+                                      end_index[end_batch == b], lr[end_batch == b], alpha, ns, ref_rng)
+                for b in range(batches)]
     occ = trainer._Occurrences.of(typed, g, window)
-    got = trainer._implicit_pairs(occ, g.offsets[end_party] + end_index, end_party, lr, alpha,
-                                  sampler, ns, rng)
-    for a, b in zip(got, expected):
-        assert a.shape == b.shape and a.tolist() == b.tolist()
+    got = trainer._implicit_pairs(occ, g.offsets[end_party] + end_index, end_party, end_batch, batches,
+                                  lr, alpha, sampler, ns, rng)
+    assert len(got) == batches
+    for batch_got, batch_expected in zip(got, expected):
+        for a, b in zip(batch_got, batch_expected):
+            assert a.shape == b.shape and a.tolist() == b.tolist()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     return expected
 
 
 class TestImplicitPairs:
-    """One implicit-pair pass per batch against the per-party passes it replaced."""
+    """One implicit-pair pass per chunk of batches against the per-party passes of each batch."""
 
     @given(pair_batches())
     @settings(max_examples=300, deadline=None)
     def test_matches_per_party_passes(self, case):
-        assert_one_pass_matches_reference(**case)
+        assert_chunk_matches_reference(**case)
 
     def _case(self, **changes):
         case = dict(counts=(4, 3, 5), seqs=([[0, 1, 2], [1, 3]], [[0, 1, 2, 0]], [[0, 1], [2, 3, 4]]),
@@ -591,31 +607,39 @@ class TestImplicitPairs:
         return case
 
     def test_every_party_with_negatives_and_without(self):
-        centers, contexts, step = assert_one_pass_matches_reference(**self._case())
+        (centers, contexts, step), = assert_chunk_matches_reference(**self._case())
         # pages 0-2 co-occur in one window: no page centre has negatives
         pages = (centers >= 4) & (centers < 7)
         assert pages.any() and (step[pages, 1:] == 0).all() and (step[~pages, 1:] > 0).any()
 
     def test_party_with_alpha_zero(self):
-        centers, _, _ = assert_one_pass_matches_reference(**self._case(alpha=(1.0, 0.0, 0.5)))
+        (centers, _, _), = assert_chunk_matches_reference(**self._case(alpha=(1.0, 0.0, 0.5)))
         assert len(centers) and not ((centers >= 4) & (centers < 7)).any()
 
     def test_no_negatives(self):
-        _, contexts, _ = assert_one_pass_matches_reference(**self._case(ns=0))
+        (_, contexts, _), = assert_chunk_matches_reference(**self._case(ns=0))
         assert contexts.shape[1] == 1
 
     def test_endpoints_absent_from_their_corpus(self):
         # users 0 and 3 never occur, and neither do the items
         case = self._case(seqs=([[1, 2]], [[0, 1, 2, 0]], []))
-        centers, _, _ = assert_one_pass_matches_reference(**case)
+        (centers, _, _), = assert_chunk_matches_reference(**case)
         assert set(centers.tolist()) <= {1, 2, 4, 5, 6}
 
     def test_single_party_batch(self):
         for p in range(3):
             ends = np.array([0, 1, 2, 1])
-            centers, _, _ = assert_one_pass_matches_reference(
+            (centers, _, _), = assert_chunk_matches_reference(
                 **self._case(end_party=np.full(4, p), end_index=ends))
             assert len(centers)
+
+    def test_chunk_of_batches(self):
+        # three batches of the named case's endpoints; the middle one holds
+        # only a page endpoint, whose party is off
+        batches = assert_chunk_matches_reference(**self._case(
+            end_batch=np.array([0, 0, 0, 1, 1, 2, 2, 2]), end_party=np.array([0, 1, 1, 1, 1, 2, 1, 0]),
+            alpha=(1.0, 0.0, 0.5), batches=3))
+        assert [len(centers) > 0 for centers, _, _ in batches] == [True, False, True]
 
 
 class TestComputeLoss:
@@ -827,6 +851,176 @@ class TestTrain:
                     *({f: (1.0, v, 1.0)} for f in ("alpha", "beta") for v in non_finite)]:
             with pytest.raises(ConfigError):
                 TrainConfig(**bad).validate()
+
+
+def reference_train(g, cfg):
+    """``train``'s epoch loop, serial: each batch draws its pairs and then runs the kernel.
+
+    The per-party passes of :func:`reference_batch_pairs` draw the pairs, and
+    the allocating :func:`reference_minibatch_step` applies them. Returns
+    the flat ``emb`` and ``ctx``.
+    """
+    corpus = generate_corpus(g, default_metapaths(), hits(g), cfg.min_walks, cfg.max_walks,
+                             cfg.walk_scale, cfg.walk_length, cfg.seed)
+    typed = filter_by_type(corpus)
+    sampler = NegativeSampler.build(typed, g, cfg.power, cfg.window)
+    emb, ctx = trainer._init_flat(g, cfg, np.random.default_rng([cfg.seed, _INIT_STREAM]))
+    store = _store_of(emb, ctx, g)
+    rng = np.random.default_rng([cfg.seed, trainer._TRAIN_STREAM])
+    loss_sample = trainer._loss_sample(*typed.in_rows(g.offsets, cfg.window), g.offsets, sampler, cfg)
+    prev = trainer._loss_on_sample(store, g, loss_sample, cfg)
+    edges = g.edge_rows
+    ends = np.stack([edges.src, edges.dst], axis=1)
+    party = np.array(RELATIONS)[edges.relation]
+    coef = cfg.gamma * np.asarray(cfg.beta)[edges.relation] * edges.wt
+    total_steps = max(1, cfg.epochs * len(coef))
+    step = 0
+    checkpoint = (emb.copy(), ctx.copy())
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(len(coef))
+        try:
+            for begin in range(0, len(order), trainer._BATCH_EDGES):
+                batch = order[begin:begin + trainer._BATCH_EDGES]
+                lr = np.full(len(batch), cfg.lr)
+                if cfg.lr_decay:
+                    lr *= np.maximum(0.01, 1.0 - (step + np.arange(len(batch))) / total_steps)
+                step += len(batch)
+                end_party = party[batch].ravel()
+                pairs = reference_batch_pairs(g, typed, sampler, cfg.window, end_party,
+                                              ends[batch].ravel() - g.offsets[end_party],
+                                              np.repeat(lr, 2), cfg.alpha, cfg.negatives, rng)
+                reference_minibatch_step(emb, ctx, edges.src[batch], edges.dst[batch],
+                                         lr * coef[batch], *pairs)
+        except NonFiniteError:
+            return checkpoint
+        loss = trainer._loss_on_sample(store, g, loss_sample, cfg)
+        if not loss.finite:
+            return checkpoint
+        rel_change = abs(loss.total - prev.total) / max(abs(prev.total), 1e-12)
+        np.copyto(checkpoint[0], emb)
+        np.copyto(checkpoint[1], ctx)
+        prev = loss
+        if rel_change < cfg.tol:
+            break
+    return emb, ctx
+
+
+class TestPipelinedTrain:
+    """``train`` with batches prepared on a worker thread against the serial loop, and its thread."""
+
+    def _planted(self):
+        return planted_graph((15, 9, 6), 3, 0.5, 0.08, seed=2)
+
+    def _assert_matches_serial(self, g, cfg):
+        epochs = []
+        store = train(g, default_metapaths(), cfg, on_epoch=lambda e, r: epochs.append(e))
+        emb, ctx = reference_train(g, cfg)
+        assert np.array_equal(np.concatenate(store.emb), emb)
+        assert np.array_equal(np.concatenate(store.ctx), ctx)
+        return epochs
+
+    @pytest.mark.parametrize("changes", [
+        dict(), dict(lr_decay=True), dict(alpha=(1.0, 0.0, 0.5)), dict(alpha=(0.0, 0.0, 0.0)),
+    ])
+    def test_matches_serial_loop(self, changes):
+        cfg = TrainConfig(dim=6, epochs=3, seed=9, max_walks=2, walk_length=8, tol=1e-12, **changes)
+        assert self._assert_matches_serial(self._planted(), cfg) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("batch_edges", [1, 5])
+    def test_matches_serial_loop_at_other_batch_sizes(self, monkeypatch, batch_edges):
+        g = self._planted()
+        monkeypatch.setattr(trainer, "_BATCH_EDGES", batch_edges)
+        if batch_edges > 1:  # the last chunk of an epoch holds fewer batches
+            assert -(-g.num_edges // batch_edges) % trainer._CHUNK_BATCHES != 0
+        cfg = TrainConfig(dim=6, epochs=2, seed=3, max_walks=2, walk_length=8, lr_decay=True, tol=1e-12)
+        self._assert_matches_serial(g, cfg)
+
+    def test_matches_serial_loop_stopping_early(self):
+        cfg = TrainConfig(dim=6, epochs=20, seed=9, max_walks=2, walk_length=8, tol=0.02)
+        epochs = self._assert_matches_serial(self._planted(), cfg)
+        assert 1 < len(epochs) < 21
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_matches_serial_loop_diverging(self):
+        cfg = TrainConfig(dim=4, epochs=3, seed=5, lr=500.0, max_walks=1, walk_length=6)
+        self._assert_matches_serial(self._planted(), cfg)
+
+    def _threads_after(self, run):
+        before = threading.active_count()
+        run()
+        return threading.active_count() - before
+
+    def test_no_thread_left_after_the_last_epoch(self):
+        cfg = TrainConfig(dim=6, epochs=2, seed=9, max_walks=2, walk_length=8, tol=1e-12)
+        assert self._threads_after(lambda: train(self._planted(), default_metapaths(), cfg)) == 0
+
+    def test_no_thread_left_after_an_early_stop(self):
+        cfg = TrainConfig(dim=6, epochs=20, seed=9, max_walks=2, walk_length=8, tol=0.5)
+        epochs = []
+        run = lambda: train(self._planted(), default_metapaths(), cfg, on_epoch=lambda e, r: epochs.append(e))
+        assert self._threads_after(run) == 0
+        assert epochs == [0, 1]
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_no_thread_left_after_divergence(self):
+        cfg = TrainConfig(dim=4, epochs=3, seed=5, lr=500.0, max_walks=1, walk_length=6)
+        assert self._threads_after(lambda: train(self._planted(), default_metapaths(), cfg)) == 0
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        class Failure(Exception):
+            pass
+
+        failure = Failure()
+
+        def failing_window_pairs(lo, hi, ranks=None, at=None):
+            if at is not None:  # a batch's pairs, not the loss draw's
+                raise failure
+            return window_pairs(lo, hi, ranks, at)
+
+        monkeypatch.setattr(trainer, "window_pairs", failing_window_pairs)
+        cfg = TrainConfig(dim=6, epochs=2, seed=9, max_walks=2, walk_length=8)
+        caught = []
+
+        def run():
+            with pytest.raises(Failure) as info:
+                train(self._planted(), default_metapaths(), cfg)
+            caught.append(info.value)
+
+        assert self._threads_after(run) == 0
+        assert caught == [failure] and caught[0] is failure
+
+    def test_on_epoch_error_reaches_the_caller(self):
+        class Stop(Exception):
+            pass
+
+        def on_epoch(epoch, report):
+            if epoch == 1:
+                raise Stop
+
+        cfg = TrainConfig(dim=6, epochs=3, seed=9, max_walks=2, walk_length=8, tol=1e-12)
+
+        def run():
+            with pytest.raises(Stop):
+                train(self._planted(), default_metapaths(), cfg, on_epoch=on_epoch)
+
+        assert self._threads_after(run) == 0
+
+    def test_zero_epochs_copy_no_parameters(self):
+        # A checkpoint (copies of emb and ctx) and the kernel's buffers are
+        # only made for an epoch to run. Many nodes, a short corpus and a wide
+        # dim make emb the largest array the set-up makes.
+        n = 7_000
+        edges = [(r, i, (i + r) % n, 1.0) for r in range(3) for i in range(n)]
+        g = build_from_pairs((n, n, n), edges)
+        cfg = TrainConfig(dim=64, epochs=0, max_walks=1, walk_length=4, window=1)
+        tracemalloc.start()
+        try:
+            train(g, default_metapaths(), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        emb_bytes = g.num_nodes * cfg.dim * 8
+        assert peak < 3 * emb_bytes, (peak, emb_bytes)
 
 
 class TestBoundedMemory:
