@@ -987,7 +987,7 @@ class TestPipelinedTrain:
             caught.append(info.value)
 
         assert self._threads_after(run) == 0
-        assert caught == [failure] and caught[0] is failure
+        assert len(caught) == 1 and caught[0] is failure
 
     def test_on_epoch_error_reaches_the_caller(self):
         class Stop(Exception):
