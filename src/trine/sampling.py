@@ -78,8 +78,7 @@ class NegativeSampler:
               window: int = 5) -> "NegativeSampler":
         if not (0 < power < np.inf):
             raise ValueError(f"power must be positive and finite, got {power}")
-        nodes, hi = typed.in_rows(g.offsets, window)[::2]  # the rows need no window starts
-        counts = np.bincount(nodes, minlength=g.num_nodes).astype(np.float64)
+        counts = np.bincount(typed.nodes, minlength=g.num_nodes).astype(np.float64)
         probs, cum = np.empty(g.num_nodes), np.empty(g.num_nodes)
         gap_top = np.zeros(g.num_nodes + 1, dtype=np.int64)
         for p in range(N_PARTIES):
@@ -98,7 +97,7 @@ class NegativeSampler:
             probs[rows] = np.diff(table, prepend=0.0)
             cum[rows] = _pinned(table)
             gap_top[off + 1:off + n + 1] = off + table.searchsorted(table, side="left")
-        starts, members, own = _exclusion_rows(nodes, hi, window, g.num_nodes)
+        starts, members, own = _exclusion_rows(typed.nodes, typed.windows(window)[1], window, g.num_nodes)
         below, mass = _gap_masses(cum, members, starts, g.offsets)
         return cls(g.offsets, _Table(probs, cum, starts, members, below, own, mass, gap_top))
 
@@ -226,13 +225,13 @@ def _exclusion_rows(nodes: np.ndarray, hi: np.ndarray, window: int,
                     n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every party's exclusion rows: ``starts``, ``members`` and ``self_in_bucket``.
 
-    ``nodes`` and ``hi`` are the corpus in global rows, as
-    :meth:`TypedCorpus.in_rows` lays it out, and ``n`` is the node count. Row
-    ``c`` is kept as the sorted codes ``c * n + member``, once each, starting
-    from ``c``'s own code. One window offset ``d`` at a time, position ``k``
-    pairs with ``k + d`` when ``hi[k] > k + d``: both orders of each pair's
-    code are sorted, de-duplicated and merged into the codes kept so far, so
-    no more than one offset's pairs are held at once.
+    ``nodes`` and ``hi`` are a :class:`TypedCorpus`'s nodes and window ends,
+    and ``n`` is the node count. Row ``c`` is kept as the sorted codes
+    ``c * n + member``, once each, starting from ``c``'s own code. One window
+    offset ``d`` at a time, position ``k`` pairs with ``k + d`` when
+    ``hi[k] > k + d``: both orders of each pair's code are sorted,
+    de-duplicated and merged into the codes kept so far, so no more than one
+    offset's pairs are held at once.
     """
     own = np.zeros(n, dtype=bool)
     codes = np.arange(n, dtype=np.int64) * (n + 1)

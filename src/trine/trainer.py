@@ -387,9 +387,9 @@ def _minibatch_step(emb: np.ndarray, ctx: np.ndarray, src: np.ndarray, dst: np.n
 class _Occurrences(NamedTuple):
     """Every party's corpus as the engine draws from it, in global rows.
 
-    ``nodes``, ``lo`` and ``hi`` are :meth:`TypedCorpus.in_rows`; ``order``
-    is all positions grouped by node (corpus order within a node), and
-    global row ``r``'s group is ``order[start[r]:start[r + 1]]``.
+    ``nodes`` is the :class:`TypedCorpus`'s own, ``lo`` and ``hi`` are its
+    windows; ``order`` is all positions grouped by node (corpus order within
+    a node), and global row ``r``'s group is ``order[start[r]:start[r + 1]]``.
     """
 
     nodes: np.ndarray
@@ -400,10 +400,9 @@ class _Occurrences(NamedTuple):
 
     @classmethod
     def of(cls, typed: TypedCorpus, g: TripartiteGraph, window: int) -> "_Occurrences":
-        nodes, lo, hi = typed.in_rows(g.offsets, window)
-        order = np.argsort(nodes, kind="stable").astype(np.int32)
-        start = np.concatenate([[0], np.cumsum(np.bincount(nodes, minlength=g.num_nodes))])
-        return cls(nodes, lo, hi, order, start)
+        order = np.argsort(typed.nodes, kind="stable").astype(np.int32)
+        start = np.concatenate([[0], np.cumsum(np.bincount(typed.nodes, minlength=g.num_nodes))])
+        return cls(typed.nodes, *typed.windows(window), order, start)
 
 
 def _context_rows(partners: np.ndarray, has: np.ndarray, negatives: np.ndarray):
@@ -492,8 +491,8 @@ def _loss_sample(nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray, offsets: np.
                  sampler: NegativeSampler, cfg: TrainConfig) -> _LossSample:
     """The seeded draw of window pairs and negatives that the implicit loss runs over.
 
-    Reads the corpus as :meth:`TypedCorpus.in_rows` lays it out; each party
-    draws from its own positions, with a generator of its own.
+    Reads a :class:`TypedCorpus`'s ``nodes`` and windows ``lo`` and ``hi``;
+    each party draws from its own positions, with a generator of its own.
     """
     sample: _LossSample = []
     bounds = [int(np.count_nonzero(nodes < off)) for off in offsets]  # the parties lie end to end
@@ -541,7 +540,7 @@ def compute_loss(store: EmbeddingStore, g: TripartiteGraph, typed: TypedCorpus,
     an RNG derived from the seed alone, so repeated calls measure the same
     sample and epoch-to-epoch changes are attributable to the parameters.
     """
-    sample = _loss_sample(*typed.in_rows(g.offsets, cfg.window), g.offsets, sampler, cfg)
+    sample = _loss_sample(typed.nodes, *typed.windows(cfg.window), g.offsets, sampler, cfg)
     return _loss_on_sample(store, g, sample, cfg)
 
 
@@ -621,7 +620,7 @@ def train(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
     del corpus  # training reads only the typed corpus
     sampler = NegativeSampler.build(typed, g, cfg.power, cfg.window)
     occurrences = _Occurrences.of(typed, g, cfg.window)
-    del typed  # the occurrences hold their own copy of the corpus
+    del typed  # the occurrences keep its nodes; its sequence bounds go
 
     emb, ctx = _init_flat(g, cfg, np.random.default_rng([cfg.seed, _INIT_STREAM]))
     store = _store_of(emb, ctx, g)
@@ -708,6 +707,9 @@ def load_embeddings(path, schema: Schema, context_path=None) -> EmbeddingStore:
         ctx_labels, ctx = _read_matrix_file(context_path, schema)
         if ctx_labels != labels:
             raise EmbeddingFileError("context file lists different nodes than the embedding file")
+        if ctx[0].shape[1] != emb[0].shape[1]:
+            raise EmbeddingFileError(f"context file has dim {ctx[0].shape[1]}, "
+                                     f"the embedding file {emb[0].shape[1]}")
     else:
         ctx = [np.zeros_like(m) for m in emb]
     return EmbeddingStore(emb, ctx, labels)

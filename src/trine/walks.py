@@ -37,30 +37,18 @@ class WalkCorpus:
     ``metapath_ids[k]`` is the metapath that produced walk ``k``, and
     ``types[m, step]`` (int8) is metapath ``m``'s party at position ``step``,
     so walk ``k``'s node at ``step`` is
-    ``Node(types[metapath_ids[k], step], nodes[k, step])``.
+    ``Node(types[metapath_ids[k], step], nodes[k, step])``. ``offsets`` are
+    the graph's row offsets: that node's global row is ``offsets[party] + index``.
     """
 
     nodes: np.ndarray
     lengths: np.ndarray
     metapath_ids: np.ndarray
     types: np.ndarray
+    offsets: np.ndarray
 
     def __len__(self) -> int:
         return len(self.lengths)
-
-    @classmethod
-    def from_walks(cls, walks: list[list[Node]], metapath_ids: list[int],
-                   metapaths: list[Metapath]) -> "WalkCorpus":
-        """Build from lists of nodes; ValueError unless each walk follows its metapath's types."""
-        width = max((len(w) for w in walks), default=0)
-        types = _type_table(metapaths, width)
-        nodes = np.full((len(walks), width), -1, dtype=np.int32)
-        for k, (walk, m) in enumerate(zip(walks, metapath_ids)):
-            if [n.party for n in walk] != types[m, :len(walk)].tolist():
-                raise ValueError(f"walk {k} does not follow the types of metapath {m}")
-            nodes[k, :len(walk)] = [n.index for n in walk]
-        return cls(nodes, np.array([len(w) for w in walks], dtype=np.int32),
-                   np.array(metapath_ids, dtype=np.int32), types)
 
     @cached_property
     def walks(self) -> tuple[tuple[Node, ...], ...]:
@@ -77,60 +65,37 @@ class WalkCorpus:
 
 @dataclass
 class TypedCorpus:
-    """Per-party homogeneous sequences of node indices, order preserved, in CSR form.
+    """The walks' per-party homogeneous sequences, order preserved, in global rows and CSR form.
 
-    For each party, ``nodes[p]`` (int32) concatenates the party's non-empty
-    subsequences of the walks, in walk order, and ``offsets[p]`` (int64, one
-    more entry than there are sequences) delimits them: sequence ``s`` is
-    ``nodes[p][offsets[p][s]:offsets[p][s + 1]]``. A position in ``nodes[p]``
-    is an occurrence. The sampler, the trainer and the loss draw read the
-    corpus in one layout over global rows, :meth:`in_rows`.
+    ``nodes`` (int32) holds global rows (``g.offsets[p] + i`` for node ``i``
+    of party ``p``, the layout of the trainer's ``emb`` and ``ctx``): party
+    0's non-empty subsequences of the walks first, in walk order, then party
+    1's, then party 2's. ``bounds`` (int64, one more entry than there are
+    sequences) delimits them: sequence ``s`` is
+    ``nodes[bounds[s]:bounds[s + 1]]``. A position in ``nodes`` is an
+    occurrence. The sampler build, the trainer's occurrence index and the
+    loss draw all read this one array.
     """
 
-    nodes: tuple[np.ndarray, np.ndarray, np.ndarray]
-    offsets: tuple[np.ndarray, np.ndarray, np.ndarray]
+    nodes: np.ndarray
+    bounds: np.ndarray
 
-    @classmethod
-    def from_sequences(cls, by_party) -> "TypedCorpus":
-        """Build from three lists of per-party sequences (empty sequences are dropped)."""
-        nodes, offsets = [], []
-        for seqs in by_party:
-            seqs = [s for s in seqs if len(s)]
-            nodes.append(np.array([i for s in seqs for i in s], dtype=np.int32))
-            offsets.append(np.cumsum([0] + [len(s) for s in seqs], dtype=np.int64))
-        return cls(tuple(nodes), tuple(offsets))
-
-    def sequences(self, party: int) -> list[list[int]]:
-        nodes, offsets = self.nodes[party], self.offsets[party]
-        return [nodes[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])]
-
-    def in_rows(self, offsets: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All parties' corpora end to end, in global rows: int32 ``nodes``, ``lo``, ``hi``.
-
-        Node ``i`` of party ``p`` is row ``offsets[p] + i``, and ``lo`` /
-        ``hi`` are the windows of :meth:`windows` in these positions.
-        """
-        base = np.cumsum([0] + [len(nodes) for nodes in self.nodes])
-        nodes, lo, hi = (np.empty(base[-1], dtype=np.int32) for _ in range(3))
-        for p, (a, b) in enumerate(zip(base[:-1], base[1:])):
-            np.add(self.nodes[p], offsets[p], out=nodes[a:b], casting="unsafe")
-            for bound, out in zip(self.windows(p, window), (lo, hi)):
-                np.add(bound, a, out=out[a:b], casting="unsafe")
-        return nodes, lo, hi
-
-    def windows(self, party: int, window: int) -> tuple[np.ndarray, np.ndarray]:
-        """Each occurrence's context window ``[lo, hi)`` of flat positions.
+    def windows(self, window: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each occurrence's context window ``[lo, hi)`` of positions, as int32 arrays.
 
         The window spans ``window`` positions either side of the occurrence,
         clipped to its own sequence; it includes the occurrence itself.
         """
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        offsets = self.offsets[party]
-        lens = np.diff(offsets)
-        pos = np.arange(offsets[-1])
-        lo = np.maximum(pos - window, np.repeat(offsets[:-1], lens))
-        hi = np.minimum(pos + window + 1, np.repeat(offsets[1:], lens))
+        lens = np.diff(self.bounds)
+        # a window past the longest sequence is the same window, and keeps the sums in int32
+        window = min(window, int(lens.max(initial=0)))
+        lo = np.arange(len(self.nodes), dtype=np.int32)
+        hi = lo + (window + 1)
+        lo -= window
+        np.maximum(lo, np.repeat(self.bounds[:-1].astype(np.int32), lens), out=lo)
+        np.minimum(hi, np.repeat(self.bounds[1:].astype(np.int32), lens), out=hi)
         return lo, hi
 
 
@@ -244,14 +209,15 @@ def generate_corpus(g: TripartiteGraph, metapaths: list[Metapath], scores: Centr
     is reproducible and independent of generation order; all walks advance
     together, one step at a time. A walk stops at a dead end or where its
     metapath would repeat a party. ``scale=None`` resolves to the graph's
-    node count, so budgets stay within min/max for typical score magnitudes.
+    node count, so budgets stay within min/max for typical score magnitudes
+    (to 1 on a graph without nodes, which starts no walks).
     """
     if not metapaths:
         raise ValueError("need at least one metapath")
     if length < 1:
         raise ValueError(f"walk length must be >= 1, got {length}")
     if scale is None:
-        scale = float(g.num_nodes)
+        scale = float(max(g.num_nodes, 1))
     starts_by_party: list[list[int]] = [[] for _ in range(N_PARTIES)]
     for m, path in enumerate(metapaths):
         starts_by_party[path.start].append(m)
@@ -301,19 +267,23 @@ def generate_corpus(g: TripartiteGraph, metapaths: list[Metapath], scores: Centr
             break
         nodes[rows, step] = g.adj.nbrs[first + _pick(_draw(keys[rows], step), deg).astype(np.int64)]
         lengths[rows] = step + 1
-    return WalkCorpus(nodes, lengths, mid.astype(np.int32), types)
+    return WalkCorpus(nodes, lengths, mid.astype(np.int32), types, g.offsets)
 
 
 def filter_by_type(corpus: WalkCorpus) -> TypedCorpus:
-    """Split every walk into per-party subsequences, dropping empty ones."""
+    """Split every walk into per-party subsequences in global rows, dropping empty ones."""
     parties, inside = corpus._parties_inside()
-    nodes, offsets = [], []
+    nodes = np.empty(np.count_nonzero(inside), dtype=np.int32)
+    lengths, a = [], 0
     for p in range(N_PARTIES):
         mine = inside & (parties == p)
         per_walk = mine.sum(axis=1)
-        nodes.append(corpus.nodes[mine])
-        offsets.append(np.concatenate([[0], np.cumsum(per_walk[per_walk > 0])]).astype(np.int64))
-    return TypedCorpus(tuple(nodes), tuple(offsets))
+        lengths.append(per_walk[per_walk > 0])
+        b = a + int(lengths[-1].sum())
+        nodes[a:b] = corpus.nodes[mine]
+        nodes[a:b] += int(corpus.offsets[p])
+        a = b
+    return TypedCorpus(nodes, np.cumsum(np.concatenate([[0], *lengths]), dtype=np.int64))
 
 
 def write_walks(corpus: WalkCorpus, g: TripartiteGraph, path) -> None:

@@ -8,7 +8,8 @@ import threading
 import numpy as np
 import pytest
 
-from trine.graph import RELATION_OF_PAIR, RELATIONS, GraphBuilder, build_from_pairs
+from trine.graph import N_PARTIES, RELATION_OF_PAIR, RELATIONS, GraphBuilder, build_from_pairs
+from trine.walks import TypedCorpus, WalkCorpus, _type_table
 
 
 # Appended to a bounded child's script: its own peak resident set, in kB.
@@ -113,3 +114,44 @@ def assert_blocks_list_the_edges(g):
             lo, hi = g.adj.indptr[row], g.adj.indptr[row + 1]
             assert g.adj.nbrs[lo:hi].tolist() == idx.tolist()
     assert g.adj.indptr[-1] == len(g.adj.nbrs) == len(g.adj.wts) == 2 * g.num_edges
+
+
+def walk_corpus(walks, metapath_ids, metapaths, offsets) -> WalkCorpus:
+    """A walk corpus from lists of nodes, on a graph with row ``offsets``.
+
+    Raises ValueError unless each walk follows its metapath's types.
+    """
+    width = max((len(w) for w in walks), default=0)
+    types = _type_table(metapaths, width)
+    nodes = np.full((len(walks), width), -1, dtype=np.int32)
+    for k, (walk, m) in enumerate(zip(walks, metapath_ids)):
+        if [n.party for n in walk] != types[m, :len(walk)].tolist():
+            raise ValueError(f"walk {k} does not follow the types of metapath {m}")
+        nodes[k, :len(walk)] = [n.index for n in walk]
+    return WalkCorpus(nodes, np.array([len(w) for w in walks], dtype=np.int32),
+                      np.array(metapath_ids, dtype=np.int32), types, np.asarray(offsets, dtype=np.int64))
+
+
+def typed_from_sequences(by_party, offsets=None) -> TypedCorpus:
+    """The typed corpus of three lists of per-party sequences, empty sequences dropped.
+
+    Node ``i`` of party ``p`` is global row ``offsets[p] + i``; without
+    ``offsets`` the sequences hold global rows already.
+    """
+    offsets = [0] * N_PARTIES if offsets is None else offsets
+    seqs = [[offsets[p] + i for i in s] for p, party in enumerate(by_party) for s in party if len(s)]
+    return TypedCorpus(np.array([i for s in seqs for i in s], dtype=np.int32),
+                       np.cumsum([0] + [len(s) for s in seqs], dtype=np.int64))
+
+
+def party_corpus(typed, offsets, party) -> TypedCorpus:
+    """One party's part of ``typed`` on its own: indices within the party, positions from 0."""
+    a, b = (int(np.count_nonzero(typed.nodes < off)) for off in offsets[party:party + 2])
+    first, last = typed.bounds.searchsorted([a, b])
+    return TypedCorpus(typed.nodes[a:b] - int(offsets[party]), typed.bounds[first:last + 1] - a)
+
+
+def party_sequences(typed, offsets, party) -> list[list[int]]:
+    """One party's sequences of ``typed``, as lists of indices within the party."""
+    part = party_corpus(typed, offsets, party)
+    return [part.nodes[a:b].tolist() for a, b in zip(part.bounds[:-1], part.bounds[1:])]

@@ -261,6 +261,14 @@ class TestSubcommands:
                 "--walk-length", "5", "--max-walks", "2", "--seed", "2", "--quiet")
         assert out.read_bytes() == run2.read_bytes()
 
+    def test_walks_on_an_edge_list_without_nodes(self, write_edges, tmp_path, capsys):
+        # the default walk scale (the node count, 0 here) writes no walks; an explicit 0 is an error
+        edges, out = write_edges(), tmp_path / "walks.txt"
+        assert run_cli("walks", "--edges", str(edges), "--out", str(out), "--quiet") == 0
+        assert out.read_text() == ""
+        code = run_cli("walks", "--edges", str(edges), "--out", str(out), "--walk-scale", "0", "--quiet")
+        assert code == 2 and "walk_scale must be positive" in capsys.readouterr().err
+
     def test_hits_output_sorted(self, six_node_edges, tmp_path, capsys):
         code = run_cli("hits", "--edges", str(six_node_edges), "--quiet")
         assert code == 0

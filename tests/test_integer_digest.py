@@ -39,6 +39,8 @@ from trine.synth import planted_graph
 from trine.trainer import TrainConfig, _loss_sample, default_metapaths, train
 from trine.walks import filter_by_type, generate_corpus
 
+from conftest import party_sequences
+
 EXPECTED_DIGEST = "7a18dc361301aa5e314a147bf9323234d03df313de1aa3a032936cdd111f7d1d"
 
 # The training batches' draws (see batch_draw_digest), with every party's
@@ -67,12 +69,12 @@ def integer_digest(seed: int) -> tuple[str, list[int]]:
     sampler = NegativeSampler.build(typed, g, cfg.power, cfg.window)
     h = hashlib.sha256()
     for p in range(N_PARTIES):
-        seqs = typed.sequences(p)
+        seqs = party_sequences(typed, g.offsets, p)
         _int_block(h, [len(s) for s in seqs])
         _int_block(h, [i for s in seqs for i in s])
         for i in range(g.counts[p]):
             _int_block(h, sorted(sampler.exclusion_bucket(Node(p, i))))
-    sample = _loss_sample(*typed.in_rows(g.offsets, cfg.window), g.offsets, sampler, cfg)
+    sample = _loss_sample(typed.nodes, *typed.windows(cfg.window), g.offsets, sampler, cfg)
     for centers, contexts, live in sample:
         for arr in (centers, contexts.ravel(), live.ravel()):
             _int_block(h, arr)

@@ -7,7 +7,9 @@ from trine.errors import SamplerError
 from trine import sampling
 from trine.graph import Node, build_from_pairs
 from trine.sampling import NegativeSampler
-from trine.walks import TypedCorpus, window_pairs
+from trine.walks import window_pairs
+
+from conftest import typed_from_sequences
 
 
 def brute_force_pairs(seq, window):
@@ -19,15 +21,15 @@ def brute_force_pairs(seq, window):
     return out
 
 
-def typed_corpus(seqs_u=(), seqs_p=(), seqs_c=()):
-    return TypedCorpus.from_sequences((seqs_u, seqs_p, seqs_c))
+def typed_corpus(seqs_u=(), seqs_p=(), seqs_c=(), offsets=None):
+    return typed_from_sequences((seqs_u, seqs_p, seqs_c), offsets)
 
 
 def scan_pairs(seqs, window, ranks=None):
     """(center, context) node pairs of the window routine over one party's sequences."""
     typed = typed_corpus(seqs_u=seqs)
-    center, context = window_pairs(*typed.windows(0, window), ranks)
-    nodes = typed.nodes[0]
+    center, context = window_pairs(*typed.windows(window), ranks)
+    nodes = typed.nodes
     return list(zip(nodes[center].tolist(), nodes[context].tolist()))
 
 
@@ -53,7 +55,7 @@ class TestContextPairs:
 
     def test_bad_window(self):
         with pytest.raises(ValueError):
-            typed_corpus(seqs_u=[[1, 2]]).windows(0, 0)
+            typed_corpus(seqs_u=[[1, 2]]).windows(0)
 
     @given(sequences, st.integers(1, 6))
     @settings(max_examples=200, deadline=None)
@@ -75,9 +77,9 @@ class TestContextPairs:
     def test_windows_of_chosen_occurrences(self, seqs, window, raw_at):
         # each chosen occurrence's partners, in scan order, indexed by the choice
         typed = typed_corpus(seqs_u=seqs)
-        n = len(typed.nodes[0])
+        n = len(typed.nodes)
         at = np.array([a % n for a in raw_at] if n else [], dtype=np.int64)
-        lo, hi = typed.windows(0, window)
+        lo, hi = typed.windows(window)
         pick, partner = window_pairs(lo[at], hi[at], at=at)
         expected = [(k, j) for k, a in enumerate(at.tolist())
                     for j in range(lo[a], hi[a]) if j != a]
@@ -90,9 +92,9 @@ class TestContextPairs:
         pos = pos % len(seq)
         # the sequence sits between two others, so clipping must stay inside it
         typed = typed_corpus(seqs_u=[[0, 1], seq, [2]])
-        lo, hi = typed.windows(0, window)
+        lo, hi = typed.windows(window)
         k = 2 + pos
-        nodes = typed.nodes[0].tolist()
+        nodes = typed.nodes.tolist()
         partners = nodes[lo[k]:k] + nodes[k + 1:hi[k]]
         expected = [seq[j] for j in range(len(seq))
                     if j != pos and abs(j - pos) <= window]
@@ -386,7 +388,7 @@ class TestFlatTable:
         # and page 4 never occurs; items: its zero-mass gap, item 4 never occurs
         g = build_from_pairs((3, 5, 6), [(0, 0, 0, 1.0)])
         typed = typed_corpus(seqs_u=[[0, 1]], seqs_p=[[0], [1], [2]] + [[3]] * 5,
-                             seqs_c=TestTopDraw._ZERO_GAP)
+                             seqs_c=TestTopDraw._ZERO_GAP, offsets=g.offsets)
         sampler = NegativeSampler.build(typed, g, window=1)
         pages, items = sampler.table_probabilities(1), sampler.table_probabilities(2)
         assert pages[4] == 0.0 and np.cumsum(pages)[3] < 1.0
@@ -402,7 +404,8 @@ class TestFlatTable:
     def test_gap_tops_match_search(self, parties, window, power):
         counts, seqs = parties
         g = build_from_pairs(counts, [])
-        assert_gap_tops_match_search(NegativeSampler.build(typed_corpus(*seqs), g, power, window), g)
+        sampler = NegativeSampler.build(typed_corpus(*seqs, offsets=g.offsets), g, power, window)
+        assert_gap_tops_match_search(sampler, g)
 
     @given(parties=three_parties(), window=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
@@ -410,7 +413,7 @@ class TestFlatTable:
         # one inversion over centres of all parties in shuffled order
         counts, seqs = parties
         g = build_from_pairs(counts, [])
-        sampler = NegativeSampler.build(typed_corpus(*seqs), g, window=window)
+        sampler = NegativeSampler.build(typed_corpus(*seqs, offsets=g.offsets), g, window=window)
         nodes = [Node(p, c) for p in range(3) for c in range(g.counts[p])
                  if sampler.has_negatives(Node(p, c))]
         rng = np.random.default_rng(seed)

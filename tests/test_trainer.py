@@ -23,9 +23,9 @@ from trine.trainer import (EmbeddingStore, TrainConfig, _BATCH_EDGES, _INIT_STRE
                            compute_loss, default_metapaths,
                            explicit_update, implicit_update, init_embeddings,
                            load_embeddings, save_embeddings, sigmoid, train)
-from trine.walks import TypedCorpus, filter_by_type, generate_corpus, window_pairs
+from trine.walks import filter_by_type, generate_corpus, window_pairs
 
-from conftest import random_tripartite, run_bounded
+from conftest import party_corpus, random_tripartite, run_bounded, typed_from_sequences
 from test_sampling import brute_force_pairs
 
 # Minor page faults of `train` on the acceptance graph at test_trained_auc's
@@ -471,17 +471,17 @@ class TestPairHelpers:
         for n in range(1, 12):
             for window in (1, 2, 5, 11):
                 seq = list(range(n))
-                lo, hi = TypedCorpus.from_sequences(([seq], [], [])).windows(0, window)
+                lo, hi = typed_from_sequences(([seq], [], [])).windows(window)
                 assert (hi - lo - 1).sum() == len(brute_force_pairs(seq, window))
 
     def test_pair_by_rank_enumerates_all(self):
         seq = [10, 11, 12, 13, 14]
         window = 2
-        typed = TypedCorpus.from_sequences(([seq], [], []))
-        lo, hi = typed.windows(0, window)
+        typed = typed_from_sequences(([seq], [], []))
+        lo, hi = typed.windows(window)
         expected = brute_force_pairs(seq, window)
         center, context = window_pairs(lo, hi, np.arange(len(expected)))
-        nodes = typed.nodes[0]
+        nodes = typed.nodes
         assert list(zip(nodes[center].tolist(), nodes[context].tolist())) == expected
         with pytest.raises(IndexError):
             window_pairs(lo, hi, np.array([len(expected)]))
@@ -497,11 +497,12 @@ class ReferenceOccurrences(NamedTuple):
     start: np.ndarray
 
     @classmethod
-    def of(cls, typed, party, n, window):
-        lo, hi = typed.windows(party, window)
-        order = np.argsort(typed.nodes[party], kind="stable").astype(np.int32)
-        start = np.concatenate([[0], np.cumsum(np.bincount(typed.nodes[party], minlength=n))])
-        return cls(typed.nodes[party], lo.astype(np.int32), hi.astype(np.int32), order, start)
+    def of(cls, typed, offsets, party, window):
+        part = party_corpus(typed, offsets, party)
+        n = offsets[party + 1] - offsets[party]
+        order = np.argsort(part.nodes, kind="stable").astype(np.int32)
+        start = np.concatenate([[0], np.cumsum(np.bincount(part.nodes, minlength=n))])
+        return cls(part.nodes, *part.windows(window), order, start)
 
 
 def reference_with_negatives(offset, centers, partners, sampler, ns, rng):
@@ -536,7 +537,7 @@ def reference_batch_pairs(g, typed, sampler, window, end_party, end_index, end_l
         if alpha[p] == 0.0:
             continue
         ends = end_party == p
-        occ = ReferenceOccurrences.of(typed, p, g.counts[p], window)
+        occ = ReferenceOccurrences.of(typed, g.offsets, p, window)
         centers, contexts, pair_step = reference_implicit_pairs(
             occ, g.offsets[p], end_index[ends], alpha[p] * end_lr[ends], sampler, ns, rng)
         pairs.append((centers + g.offsets[p], contexts + g.offsets[p], pair_step))
@@ -572,7 +573,7 @@ def assert_chunk_matches_reference(counts, seqs, end_party, end_index, window, n
     if end_batch is None:
         end_batch = np.zeros(len(end_party), dtype=np.int64)
     g = build_from_pairs(counts, [(0, 0, 0, 1.0)])
-    typed = TypedCorpus.from_sequences(seqs)
+    typed = typed_from_sequences(seqs, g.offsets)
     sampler = NegativeSampler.build(typed, g, window=window)
     lr = np.random.default_rng(seed).uniform(0.01, 0.1, size=len(end_party))
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -651,7 +652,7 @@ class TestComputeLoss:
         store = EmbeddingStore([np.zeros((1, 4)), np.zeros((1, 4)), np.zeros((0, 4))],
                                [np.zeros((1, 4)), np.zeros((1, 4)), np.zeros((0, 4))],
                                g.labels)
-        typed = TypedCorpus.from_sequences(([], [], []))
+        typed = typed_from_sequences(([], [], []))
         sampler = NegativeSampler.build(typed, g)
         report = compute_loss(store, g, typed, sampler, TrainConfig(dim=4))
         assert report.explicit[0] == pytest.approx(math.log(2.0))
@@ -661,7 +662,7 @@ class TestComputeLoss:
         g = self._graph_one_edge()
         cfg = TrainConfig(dim=4)
         store = init_embeddings(g, cfg, np.random.default_rng(0))
-        typed = TypedCorpus.from_sequences(([], [], []))
+        typed = typed_from_sequences(([], [], []))
         report = compute_loss(store, g, typed, NegativeSampler.build(typed, g), cfg)
         assert report.implicit == (0.0, 0.0, 0.0)
 
@@ -671,7 +672,7 @@ class TestComputeLoss:
         cfg = TrainConfig(dim=4, alpha=(0.5, 2.0, 1.5), beta=(1.0, 0.25, 3.0),
                           window=2, negatives=2, seed=6)
         store = init_embeddings(g, cfg, np.random.default_rng(1))
-        typed = TypedCorpus.from_sequences(([[0, 1, 2], [3]], [[0, 1]], [[0, 2, 1]]))
+        typed = typed_from_sequences(([[0, 1, 2], [3]], [[0, 1]], [[0, 2, 1]]), g.offsets)
         sampler = NegativeSampler.build(typed, g, window=2)
         report = compute_loss(store, g, typed, sampler, cfg)
         expected = -(sum(a * o for a, o in zip(cfg.alpha, report.implicit))
@@ -683,7 +684,7 @@ class TestComputeLoss:
         g = random_tripartite(rng, counts=(5, 4, 3), density=0.5)
         cfg = TrainConfig(dim=4, seed=77, window=2, negatives=3)
         store = init_embeddings(g, cfg, np.random.default_rng(3))
-        typed = TypedCorpus.from_sequences(([[0, 1, 2, 3, 4]] * 3, [[0, 1, 2]] * 2, [[0, 1]]))
+        typed = typed_from_sequences(([[0, 1, 2, 3, 4]] * 3, [[0, 1, 2]] * 2, [[0, 1]]), g.offsets)
         sampler = NegativeSampler.build(typed, g, window=2)
         r1 = compute_loss(store, g, typed, sampler, cfg)
         r2 = compute_loss(store, g, typed, sampler, cfg)
@@ -698,11 +699,11 @@ class TestComputeLoss:
         """
         counts = (5, 2, 0)
         g = build_from_pairs(counts, [(0, i, i % 2, 1.0) for i in range(5)])
-        typed = TypedCorpus.from_sequences(([[1, 0, 2], [3, 0, 4], [1, 2, 1]], [[0, 1]], []))
+        typed = typed_from_sequences(([[1, 0, 2], [3, 0, 4], [1, 2, 1]], [[0, 1]], []), g.offsets)
         cfg = TrainConfig(dim=4, window=1, negatives=3, seed=5)
         sampler = NegativeSampler.build(typed, g, cfg.power, cfg.window)
         store = make_store(counts, cfg.dim, np.random.default_rng(8))
-        sample = trainer._loss_sample(*typed.in_rows(g.offsets, cfg.window), g.offsets, sampler, cfg)
+        sample = trainer._loss_sample(typed.nodes, *typed.windows(cfg.window), g.offsets, sampler, cfg)
         expected = []
         for p, (centers, contexts, live) in enumerate(sample):
             assert contexts.shape == live.shape == (len(centers), 1 + cfg.negatives)
@@ -867,7 +868,7 @@ def reference_train(g, cfg):
     emb, ctx = trainer._init_flat(g, cfg, np.random.default_rng([cfg.seed, _INIT_STREAM]))
     store = _store_of(emb, ctx, g)
     rng = np.random.default_rng([cfg.seed, trainer._TRAIN_STREAM])
-    loss_sample = trainer._loss_sample(*typed.in_rows(g.offsets, cfg.window), g.offsets, sampler, cfg)
+    loss_sample = trainer._loss_sample(typed.nodes, *typed.windows(cfg.window), g.offsets, sampler, cfg)
     prev = trainer._loss_on_sample(store, g, loss_sample, cfg)
     edges = g.edge_rows
     ends = np.stack([edges.src, edges.dst], axis=1)
@@ -1085,6 +1086,13 @@ class TestPersistence:
         path.write_text("2 2\nu0 0.5 0.5\np0 1 oops\n")
         with pytest.raises(EmbeddingFileError, match="line 3"):
             load_embeddings(path, DEFAULT_SCHEMA)
+
+    def test_context_file_of_another_dim(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("2 3\nu0 1 2 3\np0 4 5 6\n")
+        (tmp_path / "emb.txt.ctx").write_text("2 2\nu0 1 2\np0 3 4\n")
+        with pytest.raises(EmbeddingFileError, match="context file has dim 2, the embedding file 3"):
+            load_embeddings(path, DEFAULT_SCHEMA, tmp_path / "emb.txt.ctx")
 
     def test_reindex_to_graph(self, tmp_path):
         g = build_from_pairs((2, 1, 0), [(0, 0, 0, 1.0), (0, 1, 0, 2.0)])

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trine import walks
 from trine.centrality import hits
 from trine.graph import Metapath, Node, build_from_pairs
 from trine.trainer import default_metapaths
-from trine.walks import WalkCorpus, filter_by_type, generate_corpus, metapath_walk, write_walks
+from trine.walks import filter_by_type, generate_corpus, metapath_walk, write_walks
 
-from conftest import random_tripartite
+from conftest import party_corpus, party_sequences, random_tripartite, walk_corpus
+
+# Row offsets of a graph with 3 users, 4 pages and 2 items.
+_OFFSETS = np.array([0, 3, 7, 9])
 
 
 def star_graph(n_leaves):
@@ -133,19 +138,46 @@ class TestGenerateCorpus:
         assert hub_walks > leaf_walks
 
 
+_RANDOM_PATHS = [Metapath((0, 1, 2, 1, 0)), Metapath((1, 0)), Metapath((2, 1, 0, 1, 2)), Metapath((0, 2))]
+
+
+@st.composite
+def random_corpora(draw):
+    """Party sizes, one of them perhaps 0, and walks over them, as lists of nodes, with their metapaths.
+
+    A walk stops before a party without nodes. The last walk is perhaps 24
+    steps long, so each party it visits ends on a long sequence.
+    """
+    counts = draw(st.sampled_from([(3, 4, 2), (0, 4, 2), (3, 0, 2), (3, 4, 0)]))
+    lengths = draw(st.lists(st.integers(1, 9), max_size=8)) + draw(st.sampled_from([[], [24]]))
+    walk_list, metapath_ids = [], []
+    for length in lengths:
+        m = draw(st.integers(0, len(_RANDOM_PATHS) - 1))
+        walk = []
+        for step in range(length):
+            party = _RANDOM_PATHS[m].type_at(step)
+            if counts[party] == 0:
+                break
+            walk.append(Node(party, draw(st.integers(0, counts[party] - 1))))
+        if walk:
+            walk_list.append(walk)
+            metapath_ids.append(m)
+    return counts, walk_list, metapath_ids
+
+
 class TestFilterByType:
     def test_mixed_walk_split(self):
         corpus_walks = [[Node(0, 1), Node(1, 1), Node(2, 1), Node(1, 2), Node(0, 2)]]
-        typed = filter_by_type(WalkCorpus.from_walks(corpus_walks, [0], [Metapath((0, 1, 2, 1, 0))]))
-        assert typed.sequences(0) == [[1, 2]]
-        assert typed.sequences(1) == [[1, 2]]
-        assert typed.sequences(2) == [[1]]
+        typed = filter_by_type(walk_corpus(corpus_walks, [0], [Metapath((0, 1, 2, 1, 0))], _OFFSETS))
+        assert party_sequences(typed, _OFFSETS, 0) == [[1, 2]]
+        assert party_sequences(typed, _OFFSETS, 1) == [[1, 2]]
+        assert party_sequences(typed, _OFFSETS, 2) == [[1]]
 
     def test_singleton_walk(self):
-        typed = filter_by_type(WalkCorpus.from_walks([[Node(1, 3)]], [0], [Metapath((1, 0))]))
-        assert typed.sequences(1) == [[3]]
-        assert typed.sequences(0) == []
-        assert typed.sequences(2) == []
+        typed = filter_by_type(walk_corpus([[Node(1, 3)]], [0], [Metapath((1, 0))], _OFFSETS))
+        assert party_sequences(typed, _OFFSETS, 1) == [[3]]
+        assert party_sequences(typed, _OFFSETS, 0) == []
+        assert party_sequences(typed, _OFFSETS, 2) == []
 
     def test_full_length_walk_counts(self):
         # 100 five-step T1-T2-T3-T2-T1 walks: per-type lengths 2 / 2 / 1
@@ -158,9 +190,9 @@ class TestFilterByType:
         assert len(full) >= 100
         typed = filter_by_type(corpus)
         n_full = len(full)
-        assert sum(1 for s in typed.sequences(0) if len(s) == 2) >= n_full
-        assert sum(1 for s in typed.sequences(1) if len(s) == 2) >= n_full
-        assert sum(1 for s in typed.sequences(2) if len(s) == 1) >= n_full
+        assert sum(1 for s in party_sequences(typed, g.offsets, 0) if len(s) == 2) >= n_full
+        assert sum(1 for s in party_sequences(typed, g.offsets, 1) if len(s) == 2) >= n_full
+        assert sum(1 for s in party_sequences(typed, g.offsets, 2) if len(s) == 1) >= n_full
 
     def test_occurrence_conservation(self):
         rng = np.random.default_rng(12)
@@ -174,7 +206,7 @@ class TestFilterByType:
             for node in walk:
                 raw_counts[node] = raw_counts.get(node, 0) + 1
         for p in range(3):
-            filtered = np.bincount(typed.nodes[p], minlength=g.counts[p])
+            filtered = np.bincount(party_corpus(typed, g.offsets, p).nodes, minlength=g.counts[p])
             for i in range(g.counts[p]):
                 assert filtered[i] == raw_counts.get(Node(p, i), 0)
 
@@ -188,8 +220,8 @@ class TestFilterByType:
         typed = filter_by_type(corpus)
         for p in range(3):
             split = ([n.index for n in walk if n.party == p] for walk in walks)
-            assert typed.sequences(p) == [seq for seq in split if seq]
-            assert typed.nodes[p].dtype == np.int32 and typed.offsets[p].dtype == np.int64
+            assert party_sequences(typed, g.offsets, p) == [seq for seq in split if seq]
+        assert typed.nodes.dtype == np.int32 and typed.bounds.dtype == np.int64
         path = tmp_path / "walks.txt"
         write_walks(corpus, g, path)
         assert path.read_text() == "".join(" ".join(g.label_of(n) for n in w) + "\n" for w in walks)
@@ -207,7 +239,31 @@ class TestFilterByType:
 
     def test_from_walks_checks_metapath_types(self):
         walks = [[Node(0, 1), Node(1, 0)], [Node(1, 2), Node(0, 0), Node(1, 1)]]
-        corpus = WalkCorpus.from_walks(walks, [0, 1], [Metapath((0, 1)), Metapath((1, 0, 1))])
+        corpus = walk_corpus(walks, [0, 1], [Metapath((0, 1)), Metapath((1, 0, 1))], _OFFSETS)
         assert corpus.walks == tuple(map(tuple, walks)) and corpus.lengths.tolist() == [2, 3]
         with pytest.raises(ValueError, match="does not follow"):
-            WalkCorpus.from_walks(walks, [1, 1], [Metapath((0, 1)), Metapath((1, 0, 1))])
+            walk_corpus(walks, [1, 1], [Metapath((0, 1)), Metapath((1, 0, 1))], _OFFSETS)
+
+    @given(random_corpora(), st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_layout_matches_per_party_split(self, case, window):
+        # the one layout against the per-party split of the walk view, in global rows
+        counts, walk_list, metapath_ids = case
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        corpus = walk_corpus(walk_list, metapath_ids, _RANDOM_PATHS, offsets)
+        typed = filter_by_type(corpus)
+        seqs = [[offsets[p] + n.index for n in walk if n.party == p]
+                for p in range(3) for walk in corpus.walks]
+        seqs = [seq for seq in seqs if seq]
+        assert typed.nodes.dtype == np.int32 and typed.bounds.dtype == np.int64
+        assert typed.nodes.tolist() == [i for seq in seqs for i in seq]
+        assert typed.bounds.tolist() == np.cumsum([0] + [len(seq) for seq in seqs]).tolist()
+        lo, hi = typed.windows(window)
+        assert lo.dtype == hi.dtype == np.int32
+        for a, b in zip(typed.bounds[:-1].tolist(), typed.bounds[1:].tolist()):
+            k = np.arange(a, b)
+            assert (lo[a:b] == np.maximum(k - window, a)).all()
+            assert (hi[a:b] == np.minimum(k + window + 1, b)).all()
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="window must be >= 1"):
+                typed.windows(bad)
