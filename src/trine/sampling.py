@@ -97,7 +97,7 @@ class NegativeSampler:
             probs[rows] = np.diff(table, prepend=0.0)
             cum[rows] = _pinned(table)
             gap_top[off + 1:off + n + 1] = off + table.searchsorted(table, side="left")
-        starts, members, own = _exclusion_rows(typed.nodes, typed.windows(window)[1], window, g.num_nodes)
+        starts, members, own = _exclusion_rows(typed.nodes, typed.windows(window)[1], g.num_nodes)
         below, mass = _gap_masses(cum, members, starts, g.offsets)
         return cls(g.offsets, _Table(probs, cum, starts, members, below, own, mass, gap_top))
 
@@ -221,22 +221,21 @@ class NegativeSampler:
         return np.minimum(picks, t.gap_top.take(end), out=picks).reshape(u.shape)
 
 
-def _exclusion_rows(nodes: np.ndarray, hi: np.ndarray, window: int,
-                    n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _exclusion_rows(nodes: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every party's exclusion rows: ``starts``, ``members`` and ``self_in_bucket``.
 
     ``nodes`` and ``hi`` are a :class:`TypedCorpus`'s nodes and window ends,
     and ``n`` is the node count. Row ``c`` is kept as the sorted codes
     ``c * n + member``, once each, starting from ``c``'s own code. One window
-    offset ``d`` at a time, position ``k`` pairs with ``k + d`` when
-    ``hi[k] > k + d``: both orders of each pair's code are sorted,
-    de-duplicated and merged into the codes kept so far, so no more than one
-    offset's pairs are held at once.
+    offset ``d`` at a time, up to the farthest that any window reaches,
+    position ``k`` pairs with ``k + d`` when ``hi[k] > k + d``: both orders
+    of each pair's code are sorted, de-duplicated and merged into the codes
+    kept so far, so no more than one offset's pairs are held at once.
     """
     own = np.zeros(n, dtype=bool)
     codes = np.arange(n, dtype=np.int64) * (n + 1)
     room = hi - np.arange(1, len(hi) + 1, dtype=np.int32)  # positions after k in k's window
-    for d in range(1, window + 1):
+    for d in range(1, int(room.max(initial=0)) + 1):
         at = np.flatnonzero(room >= d)  # k + d lies in k's window, and so in the corpus
         a, b = nodes[at].astype(np.int64), nodes[at + d].astype(np.int64)
         own[a[a == b]] = True

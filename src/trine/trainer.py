@@ -19,32 +19,36 @@ the fixed loss-evaluation draw, is a centre, a context row (the partner,
 then its negatives) and a mask of live entries, as :func:`_context_rows`
 makes them.
 
-No draw reads the parameters, so :func:`train` prepares the batches on one
-worker thread, ``_CHUNK_BATCHES`` consecutive batches (a chunk) at a time,
-while the calling thread runs the batch kernel on the chunk before
-(:func:`_chunks`). The worker is the training generator's only user; it
-draws each epoch's permutation and makes the per-edge steps and every
-batch's pairs. A chunk's pairs come from one pass over global rows
-(:func:`_implicit_pairs`): the generator is called batch by batch and party
-by party, in the order a batch at a time would call it, and then one window
-scan and one :meth:`NegativeSampler.invert` serve the whole chunk. So the
-outputs are those of the serial loop, bit for bit. Everything that reads or
-writes ``emb`` and ``ctx`` runs on the calling thread: the kernel, its
-finite check and the rollback to the checkpoint, the loss and ``on_epoch``.
-At most two chunks are alive at once, the one the kernel runs on and the
-one the worker makes. The worker's temporaries come from its own allocator
-arena and add to the peak; at 6 batches a chunk they add about 1.2 MB
-(3%) to the peak resident set of ``train`` at the acceptance settings. A
-:func:`train` call makes the batch kernel's large buffers once, sized for
-the largest batch its settings allow, and every batch reuses them.
+No draw reads the parameters, so after the epoch-0 report :func:`train`
+forks one child process that prepares the batches, ``_CHUNK_BATCHES``
+consecutive batches (a chunk) at a time (:func:`_chunks`), and sends each
+chunk through a one-way pipe while the calling process runs the batch
+kernel on the chunks before (:func:`_prepared`). The child owns the
+training generator, the occurrence index and the sampler, which it shares
+with the caller copy-on-write; it draws each epoch's permutation and makes
+the per-edge steps, every batch's pairs and the two row groupings of each
+batch's scatters (:func:`_with_groupings`). A chunk's pairs come from one
+pass over global rows (:func:`_implicit_pairs`): the generator is called
+batch by batch and party by party, in the order a batch at a time would call
+it, and then one window scan and one :meth:`NegativeSampler.invert` serve
+the whole chunk. So the outputs are those of the serial loop, bit for bit.
+Everything that reads or writes ``emb`` and ``ctx`` runs in the calling
+process: the kernel, its finite check and the rollback to the checkpoint,
+the loss and ``on_epoch``. Where the ``fork`` start method is missing, the
+same generator runs on the calling thread instead. A :func:`train` call
+makes the batch kernel's large buffers once, sized for the largest batch its
+settings and its corpus allow, and every batch reuses them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import pickle
+import traceback
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -79,11 +83,19 @@ _READ_CHUNK = 4_096
 # single batch of ~3.8k edges ending at 3-node parties diverges too.
 _BATCH_EDGES = 64
 
-# Batches in a chunk: the worker thread prepares one chunk while the calling
-# thread runs the kernel on the one before. Each further batch adds about
-# 0.2 MB to the peak at the acceptance settings; 6 keeps accept's peak
-# within 5% of the serial loop's, and 8 did not.
+# Batches in a chunk, the unit the child process prepares and sends. On a
+# 2-vCPU host at the paper workload's settings (3 epochs), the caller waited
+# 0.29-0.89 s in all for chunks of 1 batch, and 0.19-0.22 s for chunks of 6
+# or of 24; a larger chunk only makes each message and the child's
+# temporaries larger.
 _CHUNK_BATCHES = 6
+
+# Bytes the pipe from the preparing child holds (64 KB by default on Linux):
+# 1 MB, the largest that Linux grants an unprivileged process by default, is
+# about two chunks at the paper workload's settings. With 64 KB a chunk
+# crossed in several writes, each of which had to wake the child, and there
+# the caller waited 0.05-0.44 s an epoch for chunks; with 1 MB, 0.02-0.12 s.
+_PIPE_BYTES = 1 << 20
 
 
 def sigmoid(x: float) -> float:
@@ -322,37 +334,60 @@ class _Scratch(NamedTuple):
     cells: np.ndarray
 
     @classmethod
-    def of(cls, cfg: TrainConfig, edges: int) -> "_Scratch":
+    def of(cls, cfg: TrainConfig, edges: int, partners: int) -> "_Scratch":
         """Buffers for batches of at most ``edges`` edges under ``cfg``.
 
-        The ``2 * edges`` endpoints each make at most ``2 * cfg.window``
-        pairs, and a pair has ``1 + cfg.negatives`` context entries of
-        ``cfg.dim`` values. ``cells`` also covers the embedding scatter's
-        rows: both endpoints of every edge, then every centre.
+        The ``2 * edges`` endpoints each make at most ``partners`` pairs:
+        ``2 * cfg.window``, or fewer where no sequence is that long. A pair
+        has ``1 + cfg.negatives`` context entries of ``cfg.dim`` values.
+        ``cells`` also covers the embedding scatter's rows: both endpoints
+        of every edge, then every centre.
         """
-        pairs = 2 * edges * 2 * cfg.window
+        pairs = 2 * edges * partners
         entries = pairs * (1 + cfg.negatives)
         return cls(np.empty((entries, cfg.dim)), np.empty((entries, cfg.dim)),
                    np.empty(max(entries, 2 * edges + pairs) * cfg.dim, dtype=np.int64))
 
 
-def _scatter_add(mat: np.ndarray, rows: np.ndarray, vals: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """``mat[rows] += vals`` with a repeated row getting the sum of its values; returns the rows hit.
+# A batch's scatter rows grouped, as np.unique(rows, return_inverse=True)
+# gives them: the distinct rows ``hit``, and each row's place in ``hit``.
+_Grouping = tuple[np.ndarray, np.ndarray]
 
-    The flat cell indices are written into the leading ``len(rows) * dim``
-    entries of ``cells``.
+
+def _with_groupings(src: np.ndarray, dst: np.ndarray, edge_step: np.ndarray, centers: np.ndarray,
+                    contexts: np.ndarray, pair_step: np.ndarray) -> tuple:
+    """A batch's :func:`_minibatch_step` arguments: its draws, then its two scatters' groupings.
+
+    These group the ``emb`` rows (both endpoints of every edge, then every
+    centre) and the ``ctx`` rows (every context entry).
     """
-    hit, inverse = np.unique(rows, return_inverse=True)
+    return (src, dst, edge_step, centers, contexts, pair_step,
+            np.unique(np.concatenate([src, dst, centers]), return_inverse=True),
+            np.unique(contexts.ravel(), return_inverse=True))
+
+
+def _scatter_add(mat: np.ndarray, hit: np.ndarray, inverse: np.ndarray, vals: np.ndarray,
+                 cells: np.ndarray) -> None:
+    """``mat[hit[inverse]] += vals`` with a repeated row getting the sum of its values.
+
+    The flat cell indices are written into the leading ``len(inverse) * dim``
+    entries of ``cells``. Raises :class:`NonFiniteError`, leaving ``mat`` as
+    it was, if a row hit would become non-finite.
+    """
     dim = mat.shape[1]
-    cells = cells[:len(rows) * dim]
+    cells = cells[:len(inverse) * dim]
     np.add((inverse * dim)[:, None], np.arange(dim), out=cells.reshape(-1, dim))
-    mat[hit] += np.bincount(cells, weights=vals.ravel(), minlength=len(hit) * dim).reshape(-1, dim)
-    return hit
+    new = mat[hit]
+    new += np.bincount(cells, weights=vals.ravel(), minlength=len(hit) * dim).reshape(-1, dim)
+    if not np.isfinite(new).all():
+        raise _non_finite()
+    mat[hit] = new
 
 
 def _minibatch_step(emb: np.ndarray, ctx: np.ndarray, src: np.ndarray, dst: np.ndarray,
                     edge_step: np.ndarray, centers: np.ndarray, contexts: np.ndarray,
-                    pair_step: np.ndarray, scratch: _Scratch) -> None:
+                    pair_step: np.ndarray, emb_rows: _Grouping, ctx_rows: _Grouping,
+                    scratch: _Scratch) -> None:
     """One minibatch of explicit and implicit updates on flat (nodes, dim) matrices.
 
     Edge ``k`` joins rows ``src[k]`` and ``dst[k]`` of ``emb`` at step
@@ -361,11 +396,12 @@ def _minibatch_step(emb: np.ndarray, ctx: np.ndarray, src: np.ndarray, dst: np.n
     ``centers[k]`` of ``emb`` with the rows ``contexts[k]`` of ``ctx``, the
     window partner first and then the negatives, at steps ``pair_step[k]``
     (lr times alpha), as :func:`implicit_update` does; an entry at step 0
-    changes nothing. All gradients are taken at the batch-start state and
-    summed per row. The largest temporaries (the context rows, their
-    gradients and the scatter's cell indices) go to ``scratch``, which must
-    be large enough for the batch. Raises
-    :class:`NonFiniteError` if a touched row becomes non-finite.
+    changes nothing. ``emb_rows`` and ``ctx_rows`` group the rows of the two
+    scatters, as :func:`_with_groupings` makes them. All gradients are taken
+    at the batch-start state and summed per row. The largest temporaries
+    (the context rows, their gradients and the scatter's cell indices) go to
+    ``scratch``, which must be large enough for the batch. Raises
+    :class:`NonFiniteError` if a touched row would become non-finite.
     """
     u, v = emb[src], emb[dst]
     g = (edge_step * (1.0 - _sigmoid_vec(np.einsum("ij,ij->i", u, v))))[:, None]
@@ -376,12 +412,10 @@ def _minibatch_step(emb: np.ndarray, ctx: np.ndarray, src: np.ndarray, dst: np.n
     indicator = np.zeros(contexts.shape[1])
     indicator[0] = 1.0
     coef = pair_step * (indicator - _sigmoid_vec((c @ e[:, :, None])[:, :, 0]))
-    hit_emb = _scatter_add(emb, np.concatenate([src, dst, centers]),
-                           np.concatenate([g * v, g * u, (coef[:, None, :] @ c)[:, 0]]), scratch.cells)
+    _scatter_add(emb, *emb_rows, np.concatenate([g * v, g * u, (coef[:, None, :] @ c)[:, 0]]),
+                 scratch.cells)
     grads = np.multiply(coef[:, :, None], e[:, None, :], out=scratch.grads[:contexts.size].reshape(shape))
-    hit_ctx = _scatter_add(ctx, contexts.ravel(), grads, scratch.cells)
-    if not (np.isfinite(emb[hit_emb]).all() and np.isfinite(ctx[hit_ctx]).all()):
-        raise _non_finite()
+    _scatter_add(ctx, *ctx_rows, grads, scratch.cells)
 
 
 class _Occurrences(NamedTuple):
@@ -554,8 +588,8 @@ def _chunks(g: TripartiteGraph, occ: _Occurrences, sampler: NegativeSampler, cfg
     fewer. A chunk's implicit pairs come from one :func:`_implicit_pairs`
     pass. With ``cfg.lr_decay`` the step decays linearly per edge, counted
     in permuted order. Yields each chunk as a list of its batches'
-    ``(src, dst, edge_step, centers, contexts, pair_step)``. Nothing here
-    reads ``emb`` or ``ctx``.
+    arguments, as :func:`_with_groupings` gives them. Nothing here reads
+    ``emb`` or ``ctx``.
     """
     edges = g.edge_rows
     # every edge of every relation: its endpoints' global rows and parties,
@@ -582,7 +616,86 @@ def _chunks(g: TripartiteGraph, occ: _Occurrences, sampler: NegativeSampler, cfg
                                     cfg.negatives, rng)
             explicit = zip(*(np.split(x, cuts) for x in (edges.src[chunk], edges.dst[chunk],
                                                          lr * coef[chunk])))
-            yield [(*e, *i) for e, i in zip(explicit, pairs)]
+            yield [_with_groupings(*e, *i) for e, i in zip(explicit, pairs)]
+
+
+class _Failure(NamedTuple):
+    """An exception raised in the preparing child: its pickle (None if it has none), type and traceback."""
+
+    pickled: bytes | None
+    kind: str
+    trace: str
+
+    @classmethod
+    def of(cls, exc: BaseException) -> "_Failure":
+        try:
+            pickled = pickle.dumps(exc)
+        except Exception:
+            pickled = None
+        return cls(pickled, type(exc).__qualname__, "".join(traceback.format_exception(exc)))
+
+    def exception(self) -> BaseException:
+        """The child's exception if it pickles both ways, else a RuntimeError that names it."""
+        try:
+            return pickle.loads(self.pickled)
+        except Exception:
+            return RuntimeError(f"preparing the batches raised {self.kind} in a child process:\n{self.trace}")
+
+
+def _send_chunks(chunks: Iterator, receive, send) -> None:
+    """The child's work: send every chunk, then stop; or send the exception that stopped it."""
+    receive.close()  # the caller's end: the pipe breaks, and this child ends, if the caller dies
+    try:
+        for chunk in chunks:
+            send.send(chunk)
+    except BrokenPipeError:  # no caller is left to tell
+        pass
+    except BaseException as exc:
+        # not raised again: the caller raises it, and the child would only print it twice
+        send.send(_Failure.of(exc))
+
+
+@contextlib.contextmanager
+def _prepared(chunks: Iterator) -> Iterator[Iterator]:
+    """``chunks``, made in a forked child process where the ``fork`` start method exists.
+
+    The child owns ``chunks`` and what it reads, which it shares with this
+    process copy-on-write, and sends each chunk through a one-way pipe, so
+    that it runs ahead of the caller as far as the pipe holds. An exception
+    raised there is raised here by the iterator. Leaving the block kills
+    and reaps the child. Without ``fork``, ``chunks`` runs on this thread.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        yield chunks
+        return
+    fork = multiprocessing.get_context("fork")
+    receive, send = fork.Pipe(duplex=False)
+    with contextlib.suppress(AttributeError, OSError):  # a Linux call, refused above the system's limit
+        import fcntl
+        fcntl.fcntl(receive.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    child = fork.Process(target=_send_chunks, args=(chunks, receive, send), name="trine-batches", daemon=True)
+    child.start()
+    send.close()
+    del chunks  # the child's copy is the one that runs
+
+    def received():
+        while True:
+            try:
+                item = receive.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"the batch-preparing child process exited with code {child.exitcode} "
+                                   "before sending every chunk") from None
+            if isinstance(item, _Failure):
+                raise item.exception()
+            yield item
+
+    try:
+        yield received()
+    finally:
+        child.kill()
+        child.join()
+        receive.close()
 
 
 def train(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
@@ -603,9 +716,11 @@ def train(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
 
     ``on_epoch`` is invoked with (epoch, LossReport) after the initial loss
     evaluation (epoch 0) and after every training epoch, on the calling
-    thread. The batches are prepared on a worker thread that lives only
-    within the call (see the module docstring); an exception raised there
-    reaches the caller unchanged.
+    thread. After epoch 0 the batches are prepared in a child process that
+    lives only within the call (see the module docstring). An exception
+    raised there reaches the caller with its type and message, or, if it
+    does not pickle, as a RuntimeError that names its type and holds its
+    traceback.
     """
     cfg.validate()
     if g.num_nodes == 0:
@@ -620,11 +735,12 @@ def train(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
     del corpus  # training reads only the typed corpus
     sampler = NegativeSampler.build(typed, g, cfg.power, cfg.window)
     occurrences = _Occurrences.of(typed, g, cfg.window)
+    # the most window partners of one occurrence
+    partners = min(2 * cfg.window, int(np.diff(typed.bounds).max(initial=1)) - 1)
     del typed  # the occurrences keep its nodes; its sequence bounds go
 
     emb, ctx = _init_flat(g, cfg, np.random.default_rng([cfg.seed, _INIT_STREAM]))
     store = _store_of(emb, ctx, g)
-    rng = np.random.default_rng([cfg.seed, _TRAIN_STREAM])
 
     loss_sample = _loss_sample(occurrences.nodes, occurrences.lo, occurrences.hi, g.offsets,
                                sampler, cfg)
@@ -635,20 +751,16 @@ def train(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
     if cfg.epochs == 0:
         return store
 
-    scratch = _Scratch.of(cfg, min(_BATCH_EDGES, g.num_edges))
-    checkpoint = (emb.copy(), ctx.copy())
-    chunks = _chunks(g, occurrences, sampler, cfg, rng)
     per_epoch = -(-g.num_edges // (_CHUNK_BATCHES * _BATCH_EDGES))
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="trine-batches") as worker:
-        # the worker prepares the next chunk while this thread runs the kernel
-        # on the current one; a return or an exception drops the chunk in
-        # flight, once leaving the block has waited for it
-        pending = worker.submit(next, chunks, None)
+    with _prepared(_chunks(g, occurrences, sampler, cfg,
+                           np.random.default_rng([cfg.seed, _TRAIN_STREAM]))) as chunks:
+        # a return or an exception kills the child, with the chunks it has made
+        del occurrences, sampler  # only the preparation reads them
+        scratch = _Scratch.of(cfg, min(_BATCH_EDGES, g.num_edges), partners)
+        checkpoint = (emb.copy(), ctx.copy())
         for epoch in range(1, cfg.epochs + 1):
             try:
-                for _ in range(per_epoch):
-                    batches = pending.result()
-                    pending = worker.submit(next, chunks, None)
+                for batches in itertools.islice(chunks, per_epoch):
                     for batch in batches:
                         _minibatch_step(emb, ctx, *batch, scratch)
             except NonFiniteError as exc:

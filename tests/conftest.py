@@ -1,4 +1,6 @@
+import glob
 import itertools
+import multiprocessing
 import os
 import resource
 import subprocess
@@ -48,6 +50,29 @@ def no_thread_left_running():
     left = [t.name for t in threading.enumerate() if t not in before]
     if left:
         pytest.fail(f"the test left threads running: {left}")
+
+
+def child_pids() -> set[int]:
+    """The pids of this process's children that run or are not yet reaped.
+
+    Linux lists each thread's children under /proc; multiprocessing knows
+    the children it started, on any system.
+    """
+    pids = set()
+    for path in glob.glob(f"/proc/{os.getpid()}/task/*/children"):
+        with open(path) as fh:
+            pids.update(map(int, fh.read().split()))
+    return pids | {p.pid for p in multiprocessing.active_children()}
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left_running():
+    """Fail a test that leaves running, or unreaped, a child process it started."""
+    before = child_pids()
+    yield
+    left = child_pids() - before
+    if left:
+        pytest.fail(f"the test left child processes: {sorted(left)}")
 
 
 @pytest.fixture

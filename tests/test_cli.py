@@ -13,7 +13,7 @@ from trine.cli import (RunConfig, _train_config, build_parser, dump_config, main
 from trine.graph import load_edge_list
 from trine.trainer import TrainConfig
 
-from conftest import assert_blocks_list_the_edges
+from conftest import assert_blocks_list_the_edges, run_bounded
 
 
 def run_cli(*args):
@@ -448,3 +448,39 @@ class TestBadWeights:
         assert len(err.splitlines()) == 1 and err.startswith("error:") and "weight" in err, err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+# The CLI, run by run_bounded: prints its exit status, then its standard error's lines.
+_CLI_IN_CHILD = """
+import contextlib, io, sys
+from trine.cli import main
+
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = main(sys.argv[1:])
+print(code)
+for line in err.getvalue().splitlines():
+    print(line)
+"""
+
+
+class TestOptionSizes:
+    """Options that ask for far more than a 4-edge graph needs, each run in a child under a 2 GiB limit."""
+
+    @pytest.mark.parametrize("option,code", [
+        (["--window", "1000000"], 0),  # no sequence is that long, so the window is clipped to it
+        (["--dim", "100000000"], 1),  # the parameters alone need 3 GiB
+        (["--negatives", "100000000"], 1),  # the kernel's buffers
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_runs_or_fails_with_one_error_line(self, option, code, tmp_path):
+        edges = tmp_path / "four.txt"
+        edges.write_text("u0 p0 1.0\nu1 p0 1.0\np0 c0 1.0\nu0 c0 1.0\n")
+        out = tmp_path / "emb.txt"
+        (status, *err), _ = run_bounded(_CLI_IN_CHILD, "train", "--edges", str(edges), "--out", str(out),
+                                        "--epochs", "1", "--quiet", *option)
+        assert int(status) == code, err
+        if code == 0:
+            assert err == [] and out.exists()
+        else:
+            assert len(err) == 1 and err[0].startswith("error: "), err
+            assert not out.exists()

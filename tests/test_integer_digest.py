@@ -96,12 +96,12 @@ def batch_draw_digest(seed: int, alpha: tuple[float, float, float]) -> tuple[str
     batches = 0
     step = trainer._minibatch_step
 
-    def recording_step(emb, ctx, src, dst, edge_step, centers, contexts, pair_step, scratch):
+    def recording_step(emb, ctx, src, dst, edge_step, centers, contexts, pair_step, *groupings_and_scratch):
         nonlocal batches
         batches += 1
         for arr in (src, dst, centers, contexts.ravel(), (pair_step != 0).ravel()):
             _int_block(h, arr)
-        step(emb, ctx, src, dst, edge_step, centers, contexts, pair_step, scratch)
+        step(emb, ctx, src, dst, edge_step, centers, contexts, pair_step, *groupings_and_scratch)
 
     trainer._minibatch_step = recording_step
     try:

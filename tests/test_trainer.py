@@ -1,8 +1,10 @@
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
-import threading
+import time
 import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
@@ -19,13 +21,13 @@ from trine.sampling import NegativeSampler
 from trine.synth import planted_graph
 from trine import trainer
 from trine.trainer import (EmbeddingStore, TrainConfig, _BATCH_EDGES, _INIT_STREAM, _Scratch,
-                           _minibatch_step, _non_finite, _sigmoid_vec, _store_of,
+                           _minibatch_step, _non_finite, _sigmoid_vec, _store_of, _with_groupings,
                            compute_loss, default_metapaths,
                            explicit_update, implicit_update, init_embeddings,
                            load_embeddings, save_embeddings, sigmoid, train)
 from trine.walks import filter_by_type, generate_corpus, window_pairs
 
-from conftest import party_corpus, random_tripartite, run_bounded, typed_from_sequences
+from conftest import child_pids, party_corpus, random_tripartite, run_bounded, typed_from_sequences
 from test_sampling import brute_force_pairs
 
 # Minor page faults of `train` on the acceptance graph at test_trained_auc's
@@ -50,6 +52,24 @@ def faults(epochs):
 n = int(sys.argv[1])
 faults(n)
 print(g.num_edges, faults(n), faults(2 * n))
+"""
+
+# A `train` call that kills its own process once epoch 1 is reported, while
+# the batch-preparing child runs ahead; it first prints the child's pid.
+_KILLED_CALLER_SCRIPT = """
+import glob, os, signal
+from trine.synth import planted_graph
+from trine.trainer import TrainConfig, default_metapaths, train
+
+def on_epoch(epoch, loss):
+    if epoch == 1:
+        for path in glob.glob(f"/proc/{os.getpid()}/task/*/children"):
+            print(open(path).read().strip(), flush=True)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+g = planted_graph((300, 60, 30), 3, 0.3, 0.02, seed=1)
+train(g, default_metapaths(), TrainConfig(dim=8, epochs=50, max_walks=2, walk_length=8, tol=1e-12),
+      on_epoch=on_epoch)
 """
 
 # `train` to epoch 0 at the CLI defaults on the benchmark's paper graph
@@ -308,9 +328,8 @@ def run_batch(emb, ctx, edges=(), pairs=(), negatives=2):
     contexts = np.array([z for _, z, _ in pairs], dtype=np.int64).reshape(-1, width)
     pair_step = np.array([[s] * width for _, _, s in pairs], dtype=float).reshape(-1, width)
     # batches of len(edges) + len(pairs) edges allow at least len(pairs) pairs
-    scratch = _Scratch.of(TrainConfig(dim=emb.shape[1], negatives=negatives, window=1),
-                          len(edges) + len(pairs))
-    _minibatch_step(emb, ctx, src, dst, edge_step, centers, contexts, pair_step, scratch)
+    scratch = _Scratch.of(TrainConfig(dim=emb.shape[1], negatives=negatives), len(edges) + len(pairs), 1)
+    _minibatch_step(emb, ctx, *_with_groupings(src, dst, edge_step, centers, contexts, pair_step), scratch)
 
 
 def reference_scatter_add(mat, rows, vals):
@@ -445,7 +464,7 @@ class TestScratch:
         rng = np.random.default_rng(41)
         emb, ctx, _, _ = flat_store((9, 7, 5), self.cfg.dim, rng)
         ref_emb, ref_ctx = emb.copy(), ctx.copy()
-        scratch = _Scratch.of(self.cfg, self.edges)
+        scratch = _Scratch.of(self.cfg, self.edges, 2 * self.cfg.window)
         most = 2 * self.edges * 2 * self.cfg.window
         # (edges, pairs): the largest batch, smaller ones over its stale data,
         # batches without implicit pairs (train's no_pairs), and growth again
@@ -453,7 +472,7 @@ class TestScratch:
                                  (3, 1), (6, most), (5, 7)]:
             batch = self._batch(rng, n_edges, n_pairs, len(emb))
             reference_minibatch_step(ref_emb, ref_ctx, *batch)
-            _minibatch_step(emb, ctx, *batch, scratch)
+            _minibatch_step(emb, ctx, *_with_groupings(*batch), scratch)
             assert emb.tobytes() == ref_emb.tobytes()
             assert ctx.tobytes() == ref_ctx.tobytes()
 
@@ -461,9 +480,10 @@ class TestScratch:
     def test_diverging_batch_raises(self):
         rng = np.random.default_rng(42)
         emb, ctx, _, _ = flat_store((9, 7, 5), self.cfg.dim, rng, scale=1e3)
-        scratch = _Scratch.of(self.cfg, self.edges)
+        scratch = _Scratch.of(self.cfg, self.edges, 2 * self.cfg.window)
         with pytest.raises(NonFiniteError):
-            _minibatch_step(emb, ctx, *self._batch(rng, 6, 40, len(emb), step=1e305), scratch)
+            _minibatch_step(emb, ctx, *_with_groupings(*self._batch(rng, 6, 40, len(emb), step=1e305)),
+                            scratch)
 
 
 class TestPairHelpers:
@@ -906,8 +926,12 @@ def reference_train(g, cfg):
     return emb, ctx
 
 
+class Failure(Exception):
+    """An error of the batch preparation that pickles, so it crosses the process boundary."""
+
+
 class TestPipelinedTrain:
-    """``train`` with batches prepared on a worker thread against the serial loop, and its thread."""
+    """``train`` with batches prepared in a child process against the serial loop, and its child."""
 
     def _planted(self):
         return planted_graph((15, 9, 6), 3, 0.5, 0.08, seed=2)
@@ -946,51 +970,121 @@ class TestPipelinedTrain:
         cfg = TrainConfig(dim=4, epochs=3, seed=5, lr=500.0, max_walks=1, walk_length=6)
         self._assert_matches_serial(self._planted(), cfg)
 
-    def _threads_after(self, run):
-        before = threading.active_count()
+    def test_matches_serial_loop_without_fork(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        cfg = TrainConfig(dim=6, epochs=3, seed=9, max_walks=2, walk_length=8, tol=1e-12, lr_decay=True)
+        seen, left = self._children(monkeypatch, lambda: self._assert_matches_serial(self._planted(), cfg))
+        assert seen == left == set()
+
+    def _children(self, monkeypatch, run):
+        """The child processes of this one that the kernel ran beside during ``run``, and those left after it."""
+        before = child_pids()
+        seen = set()
+        step = trainer._minibatch_step
+
+        def watching_step(*args):
+            seen.update(child_pids() - before)
+            step(*args)
+
+        monkeypatch.setattr(trainer, "_minibatch_step", watching_step)
         run()
-        return threading.active_count() - before
+        return seen, child_pids() - before
 
-    def test_no_thread_left_after_the_last_epoch(self):
+    def test_no_child_left_after_the_last_epoch(self, monkeypatch):
         cfg = TrainConfig(dim=6, epochs=2, seed=9, max_walks=2, walk_length=8, tol=1e-12)
-        assert self._threads_after(lambda: train(self._planted(), default_metapaths(), cfg)) == 0
+        seen, left = self._children(monkeypatch, lambda: train(self._planted(), default_metapaths(), cfg))
+        assert len(seen) == 1 and left == set()
 
-    def test_no_thread_left_after_an_early_stop(self):
+    def test_no_child_left_after_an_early_stop(self, monkeypatch):
         cfg = TrainConfig(dim=6, epochs=20, seed=9, max_walks=2, walk_length=8, tol=0.5)
         epochs = []
         run = lambda: train(self._planted(), default_metapaths(), cfg, on_epoch=lambda e, r: epochs.append(e))
-        assert self._threads_after(run) == 0
+        seen, left = self._children(monkeypatch, run)
+        assert len(seen) == 1 and left == set()
         assert epochs == [0, 1]
 
     @pytest.mark.filterwarnings("ignore:overflow")
-    def test_no_thread_left_after_divergence(self):
+    def test_no_child_left_after_divergence(self, monkeypatch):
         cfg = TrainConfig(dim=4, epochs=3, seed=5, lr=500.0, max_walks=1, walk_length=6)
-        assert self._threads_after(lambda: train(self._planted(), default_metapaths(), cfg)) == 0
+        seen, left = self._children(monkeypatch, lambda: train(self._planted(), default_metapaths(), cfg))
+        assert len(seen) == 1 and left == set()
 
-    def test_worker_error_reaches_the_caller(self, monkeypatch):
-        class Failure(Exception):
-            pass
-
-        failure = Failure()
+    def _fail_in_preparation(self, monkeypatch, error):
+        """Make the batches' window scan raise ``error(message)``, the message naming the raising process."""
 
         def failing_window_pairs(lo, hi, ranks=None, at=None):
             if at is not None:  # a batch's pairs, not the loss draw's
-                raise failure
+                raise error(f"window scan failed in process {os.getpid()}")
             return window_pairs(lo, hi, ranks, at)
 
         monkeypatch.setattr(trainer, "window_pairs", failing_window_pairs)
-        cfg = TrainConfig(dim=6, epochs=2, seed=9, max_walks=2, walk_length=8)
+        return TrainConfig(dim=6, epochs=2, seed=9, max_walks=2, walk_length=8)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        cfg = self._fail_in_preparation(monkeypatch, Failure)
         caught = []
 
         def run():
-            with pytest.raises(Failure) as info:
+            with pytest.raises(Failure, match=r"^window scan failed in process \d+$") as info:
                 train(self._planted(), default_metapaths(), cfg)
             caught.append(info.value)
 
-        assert self._threads_after(run) == 0
-        assert len(caught) == 1 and caught[0] is failure
+        _, left = self._children(monkeypatch, run)
+        assert left == set()
+        (failure,) = caught
+        assert type(failure) is Failure
+        assert int(str(failure).split()[-1]) != os.getpid()  # raised in the child
 
-    def test_on_epoch_error_reaches_the_caller(self):
+    def test_memory_error_in_the_child_arrives_as_one(self, monkeypatch):
+        cfg = self._fail_in_preparation(monkeypatch, MemoryError)
+        with pytest.raises(MemoryError, match="window scan failed in process"):
+            train(self._planted(), default_metapaths(), cfg)
+
+    def test_unpicklable_error_names_its_type_and_traceback(self, monkeypatch):
+        class Unpicklable(Exception):  # a local class pickles by a name that cannot be looked up
+            pass
+
+        cfg = self._fail_in_preparation(monkeypatch, Unpicklable)
+        with pytest.raises(RuntimeError, match="Unpicklable") as info:
+            train(self._planted(), default_metapaths(), cfg)
+        message = str(info.value)
+        assert "Traceback (most recent call last)" in message
+        assert "in failing_window_pairs" in message and "window scan failed in process" in message
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the child's exit would end the test process")
+    def test_child_that_dies_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(trainer, "window_pairs", lambda lo, hi, ranks=None, at=None:
+                            os._exit(7) if at is not None else window_pairs(lo, hi, ranks, at))
+        cfg = TrainConfig(dim=6, epochs=2, seed=9, max_walks=2, walk_length=8)
+        with pytest.raises(RuntimeError, match="exited with code 7"):
+            train(self._planted(), default_metapaths(), cfg)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the child's state under /proc")
+    def test_child_ends_when_the_caller_is_killed(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        caller = subprocess.Popen([sys.executable, "-c", _KILLED_CALLER_SCRIPT], stdout=subprocess.PIPE,
+                                  text=True, env=env)
+        with caller.stdout:
+            (child,) = map(int, caller.stdout.readline().split())
+        assert caller.wait(timeout=300) == -signal.SIGKILL
+
+        def running():  # an exited child of a dead caller may stay a zombie until it is reaped
+            try:
+                with open(f"/proc/{child}/stat") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 30
+        while running() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = running()
+        if left:
+            os.kill(child, signal.SIGKILL)
+        assert not left
+
+    def test_on_epoch_error_reaches_the_caller(self, monkeypatch):
         class Stop(Exception):
             pass
 
@@ -1004,7 +1098,8 @@ class TestPipelinedTrain:
             with pytest.raises(Stop):
                 train(self._planted(), default_metapaths(), cfg, on_epoch=on_epoch)
 
-        assert self._threads_after(run) == 0
+        seen, left = self._children(monkeypatch, run)
+        assert len(seen) == 1 and left == set()
 
     def test_zero_epochs_copy_no_parameters(self):
         # A checkpoint (copies of emb and ctx) and the kernel's buffers are
