@@ -19,6 +19,8 @@ import typing
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import centrality, evaluation, synth
 from .centrality import hits
 from .errors import ConfigError, TrineError
@@ -301,14 +303,17 @@ def run(subcommand: str, cfg: RunConfig) -> int:
 
     if subcommand == "hits":
         g = _load_graph(cfg)
-        scores = hits(g, cfg.max_iter, cfg.hits_tol)
-        ordered = sorted(g.nodes(), key=lambda n: (-scores.of(n), n.party, n.index))
-        lines = [f"{g.label_of(n)} {scores.of(n):.9g}" for n in ordered]
+        authority = hits(g, cfg.max_iter, cfg.hits_tol).authority
+        # global rows are in (party, index) order, so a stable sort breaks ties by them
+        labels = [lab for party in g.labels for lab in party]
+        score = authority.tolist()
+        order = np.argsort(-authority, kind="stable").tolist()
+        text = "".join(f"{labels[r]} {score[r]:.9g}\n" for r in order)
         if cfg.out:
             with open(cfg.out, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
+                fh.write(text)
         else:
-            print("\n".join(lines))
+            sys.stdout.write(text)
         return 0
 
     if subcommand == "walks":

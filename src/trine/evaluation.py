@@ -307,8 +307,8 @@ def _features(store: EmbeddingStore, relation: int, pairs: list[tuple[int, int]]
     folds it memorizes which nodes are active even from random vectors.
     """
     a, b = RELATIONS[relation]
-    idx = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    return store.emb[a][idx[:, 0]] * store.emb[b][idx[:, 1]]
+    idx = np.array(pairs, dtype=np.int64).reshape(-1, 2) + store.offsets[[a, b]]
+    return store.emb[idx[:, 0]] * store.emb[idx[:, 1]]
 
 
 def _fold_metrics(report: EvalReport, scores: np.ndarray, labels: np.ndarray) -> None:

@@ -252,9 +252,6 @@ class TripartiteGraph:
     def has_node(self, node: Node) -> bool:
         return 0 <= node.party < N_PARTIES and 0 <= node.index < self.counts[node.party]
 
-    def nodes(self) -> Iterable[Node]:
-        return (Node(p, i) for p in range(N_PARTIES) for i in range(self.counts[p]))
-
     def neighbor_arrays(self, party: int, index: int, target: int) -> tuple[np.ndarray, np.ndarray]:
         """``target``-party neighbor indices and weights (may be empty); ValueError off the graph."""
         if not self.has_node(Node(party, index)):

@@ -1,5 +1,11 @@
 """Joint optimization of the six-term embedding objective.
 
+The parameters have one layout: :class:`EmbeddingStore` holds the node
+embeddings ``emb`` and the context vectors ``ctx`` as one float64 (nodes,
+dim) array each, in the graph's global rows (node ``i`` of party ``p`` is
+row ``offsets[p] + i``). Initialisation, the batch kernel, the loss, the
+scalar reference updates and the embedding files all index it.
+
 Three implicit skip-gram terms (one per party, trained with negative
 sampling over same-type walk co-occurrences) plus three explicit terms
 (weighted first-order reconstruction of each relation's observed edges)
@@ -183,33 +189,39 @@ class TrainConfig:
 
 @dataclass
 class EmbeddingStore:
-    """Node-embedding and context-vector matrices for the three parties."""
+    """Node-embedding and context-vector matrices of the three parties, in global rows.
 
-    emb: list[np.ndarray]
-    ctx: list[np.ndarray]
+    ``emb`` and ``ctx`` are float64 (nodes, dim) arrays. Node ``i`` of party
+    ``p``, labelled ``labels[p][i]``, is row ``offsets[p] + i``: party ``p``
+    holds rows ``offsets[p]:offsets[p + 1]``, the layout of the graph whose
+    labels the store has.
+    """
+
+    emb: np.ndarray
+    ctx: np.ndarray
     labels: tuple[list[str], ...]
 
     @property
     def dim(self) -> int:
-        return self.emb[0].shape[1]
+        return self.emb.shape[1]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Each party's first row, and the row count last."""
+        return np.concatenate([[0], np.cumsum([len(ls) for ls in self.labels])]).astype(np.int64)
 
     def copy(self) -> "EmbeddingStore":
-        return EmbeddingStore([m.copy() for m in self.emb], [m.copy() for m in self.ctx], self.labels)
+        return EmbeddingStore(self.emb.copy(), self.ctx.copy(), self.labels)
 
     def reindexed_to(self, g: TripartiteGraph) -> "EmbeddingStore":
-        """Rows permuted to match the graph's label-to-index assignment."""
-        own_index = [{lab: i for i, lab in enumerate(self.labels[p])} for p in range(N_PARTIES)]
-        emb, ctx = [], []
-        for p in range(N_PARTIES):
-            rows = []
-            for lab in g.labels[p]:
-                if lab not in own_index[p]:
-                    raise EmbeddingFileError(f"graph node {lab!r} has no embedding")
-                rows.append(own_index[p][lab])
-            sel = np.array(rows, dtype=np.int64)
-            emb.append(self.emb[p][sel] if len(sel) else self.emb[p][:0])
-            ctx.append(self.ctx[p][sel] if len(sel) else self.ctx[p][:0])
-        return EmbeddingStore(emb, ctx, g.labels)
+        """Rows gathered into the graph's layout, each node's by its party and label."""
+        keys = [(p, lab) for p in range(N_PARTIES) for lab in self.labels[p]]
+        own = dict(zip(keys, itertools.count()))
+        try:
+            rows = np.array([own[p, lab] for p in range(N_PARTIES) for lab in g.labels[p]], dtype=np.int64)
+        except KeyError as exc:
+            raise EmbeddingFileError(f"graph node {exc.args[0][1]!r} has no embedding") from None
+        return EmbeddingStore(self.emb[rows], self.ctx[rows], g.labels)
 
 
 @dataclass
@@ -233,27 +245,12 @@ class LossReport:
 
 
 def init_embeddings(g: TripartiteGraph, cfg: TrainConfig, rng: np.random.Generator) -> EmbeddingStore:
-    """Uniform initialization of all six matrices in [-0.5/d, 0.5/d].
-
-    The node embeddings of all parties are one (nodes, dim) array, party by
-    party, and so are the context vectors; the store holds per-party views.
-    """
-    return _store_of(*_init_flat(g, cfg, rng), g)
-
-
-def _init_flat(g: TripartiteGraph, cfg: TrainConfig,
-               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform initialization in [-0.5/d, 0.5/d]: ``emb`` is drawn first, then ``ctx``."""
     cfg.validate()
     half = 0.5 / cfg.dim
     emb = rng.uniform(-half, half, size=(g.num_nodes, cfg.dim))
     ctx = rng.uniform(-half, half, size=(g.num_nodes, cfg.dim))
-    return emb, ctx
-
-
-def _store_of(emb: np.ndarray, ctx: np.ndarray, g: TripartiteGraph) -> EmbeddingStore:
-    """A store of per-party views into flat (nodes, dim) matrices in the graph's global layout."""
-    cuts = g.offsets[1:-1]
-    return EmbeddingStore(np.split(emb, cuts), np.split(ctx, cuts), g.labels)
+    return EmbeddingStore(emb, ctx, g.labels)
 
 
 def _non_finite() -> NonFiniteError:
@@ -279,8 +276,9 @@ def explicit_update(store: EmbeddingStore, e: Edge, cfg: TrainConfig, lr: float 
     if coef == 0.0:
         return
     eta = cfg.lr if lr is None else lr
-    u = store.emb[e.src.party][e.src.index]
-    v = store.emb[e.dst.party][e.dst.index]
+    first = store.offsets.tolist()
+    u = store.emb[first[e.src.party] + e.src.index]
+    v = store.emb[first[e.dst.party] + e.dst.index]
     g = eta * coef * (1.0 - sigmoid(float(u @ v)))
     du = g * v
     v += g * u
@@ -305,11 +303,12 @@ def implicit_update(store: EmbeddingStore, center: Node, context: Node,
     if alpha == 0.0:
         return
     eta = cfg.lr if lr is None else lr
-    v = store.emb[party][center.index]
-    zs = np.array([context.index] + [z.index for z in negatives], dtype=np.int64)
+    first = int(store.offsets[party])
+    v = store.emb[first + center.index]
+    zs = first + np.array([context.index] + [z.index for z in negatives], dtype=np.int64)
     indicator = np.zeros(len(zs))
     indicator[0] = 1.0
-    ctx_mat = store.ctx[party]
+    ctx_mat = store.ctx
     z_rows = ctx_mat[zs]
     s = _sigmoid_vec(z_rows @ v)
     coef = eta * alpha * (indicator - s)
@@ -507,17 +506,17 @@ def _explicit_loss(store: EmbeddingStore, g: TripartiteGraph) -> tuple[float, fl
         if len(g.edge_wt[r]) == 0:
             out.append(0.0)
             continue
-        src, dst = g.edge_src[r], g.edge_dst[r]
+        src, dst = g.edge_src[r] + g.offsets[a], g.edge_dst[r] + g.offsets[b]
         dots = np.empty(len(src))
         for lo in range(0, len(src), _LOSS_CHUNK):
             hi = lo + _LOSS_CHUNK
-            dots[lo:hi] = np.einsum("ij,ij->i", store.emb[a][src[lo:hi]], store.emb[b][dst[lo:hi]])
+            dots[lo:hi] = np.einsum("ij,ij->i", store.emb[src[lo:hi]], store.emb[dst[lo:hi]])
         out.append(float(-(g.edge_wt[r] * _log_sigmoid(dots)).sum()))
     return tuple(out)
 
 
 # Per party: the loss draw's centres, context rows and live entries, in the
-# form of a training batch (see _context_rows), as indices within the party.
+# form of a training batch (see _context_rows), in global rows.
 _LossSample = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
@@ -540,9 +539,7 @@ def _loss_sample(nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray, offsets: np.
         centers, partners = (nodes[a:b][pos] for pos in window_pairs(lo_p, hi_p, ranks))
         has = sampler.has_negatives_at(centers)
         negatives = sampler.invert(centers[has], rng.random((int(has.sum()), cfg.negatives)))
-        contexts, live = _context_rows(partners, has, negatives)
-        off = int(offsets[p])  # a Python int keeps the indices int32
-        sample.append((centers - off, contexts - off, live))
+        sample.append((centers, *_context_rows(partners, has, negatives)))
     return sample
 
 
@@ -550,13 +547,13 @@ def _loss_on_sample(store: EmbeddingStore, g: TripartiteGraph, sample: _LossSamp
                     cfg: TrainConfig) -> LossReport:
     explicit = _explicit_loss(store, g)
     implicit = []
-    for p, (centers, contexts, live) in enumerate(sample):
+    for centers, contexts, live in sample:
         sign = np.where(np.arange(contexts.shape[1]) == 0, 1.0, -1.0)  # partner +, negatives -
         rows = max(1, _LOSS_CHUNK // contexts.shape[1])
         nll = 0.0
         for lo in range(0, len(centers), rows):
             hi = lo + rows
-            dots = np.einsum("ijk,ik->ij", store.ctx[p][contexts[lo:hi]], store.emb[p][centers[lo:hi]])
+            dots = np.einsum("ijk,ik->ij", store.ctx[contexts[lo:hi]], store.emb[centers[lo:hi]])
             nll -= float(_log_sigmoid(sign * dots)[live[lo:hi]].sum())
         implicit.append(nll)
     total = -(sum(a * o for a, o in zip(cfg.alpha, implicit))
@@ -739,8 +736,8 @@ def train(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
     partners = min(2 * cfg.window, int(np.diff(typed.bounds).max(initial=1)) - 1)
     del typed  # the occurrences keep its nodes; its sequence bounds go
 
-    emb, ctx = _init_flat(g, cfg, np.random.default_rng([cfg.seed, _INIT_STREAM]))
-    store = _store_of(emb, ctx, g)
+    store = init_embeddings(g, cfg, np.random.default_rng([cfg.seed, _INIT_STREAM]))
+    emb, ctx = store.emb, store.ctx
 
     loss_sample = _loss_sample(occurrences.nodes, occurrences.lo, occurrences.hi, g.offsets,
                                sampler, cfg)
@@ -765,13 +762,13 @@ def train(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
                         _minibatch_step(emb, ctx, *batch, scratch)
             except NonFiniteError as exc:
                 log.error("training diverged in epoch %d (%s); returning last finite checkpoint", epoch, exc)
-                return _store_of(*checkpoint, g)
+                return EmbeddingStore(*checkpoint, g.labels)
             loss = _loss_on_sample(store, g, loss_sample, cfg)
             if on_epoch is not None:
                 on_epoch(epoch, loss)
             if not loss.finite:
                 log.error("objective became non-finite in epoch %d; returning last finite checkpoint", epoch)
-                return _store_of(*checkpoint, g)
+                return EmbeddingStore(*checkpoint, g.labels)
             rel_change = abs(loss.total - prev.total) / max(abs(prev.total), 1e-12)
             np.copyto(checkpoint[0], emb)
             np.copyto(checkpoint[1], ctx)
@@ -796,21 +793,19 @@ def save_embeddings(store: EmbeddingStore, path, context_path=None) -> None:
         _write_matrix_file(store.ctx, store.labels, context_path)
 
 
-def _write_matrix_file(mats: list[np.ndarray], labels: tuple[list[str], ...], path) -> None:
-    total = sum(m.shape[0] for m in mats)
-    dim = mats[0].shape[1]
-    line = "%s" + " %.9g" * dim + "\n"
+def _write_matrix_file(mat: np.ndarray, labels: tuple[list[str], ...], path) -> None:
+    line = "%s" + " %.9g" * mat.shape[1] + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{total} {dim}\n")
-        for p in range(N_PARTIES):
-            for lab, row in zip(labels[p], mats[p]):
-                fh.write(line % (lab, *row.tolist()))
+        fh.write(f"{mat.shape[0]} {mat.shape[1]}\n")
+        for lab, row in zip(itertools.chain.from_iterable(labels), mat):
+            fh.write(line % (lab, *row.tolist()))
 
 
 def load_embeddings(path, schema: Schema, context_path=None) -> EmbeddingStore:
     """Read an embedding file (and optionally its context-vector companion).
 
-    Node party comes from the label's type character; per-party indices follow
+    Node party comes from the label's type character. The file may list the
+    parties in any order: the rows are stored party by party, each party's in
     file order, so a save/load round trip preserves row order. Without a
     context file the context vectors are zero.
     """
@@ -819,11 +814,11 @@ def load_embeddings(path, schema: Schema, context_path=None) -> EmbeddingStore:
         ctx_labels, ctx = _read_matrix_file(context_path, schema)
         if ctx_labels != labels:
             raise EmbeddingFileError("context file lists different nodes than the embedding file")
-        if ctx[0].shape[1] != emb[0].shape[1]:
-            raise EmbeddingFileError(f"context file has dim {ctx[0].shape[1]}, "
-                                     f"the embedding file {emb[0].shape[1]}")
+        if ctx.shape[1] != emb.shape[1]:
+            raise EmbeddingFileError(f"context file has dim {ctx.shape[1]}, "
+                                     f"the embedding file {emb.shape[1]}")
     else:
-        ctx = [np.zeros_like(m) for m in emb]
+        ctx = np.zeros_like(emb)
     return EmbeddingStore(emb, ctx, labels)
 
 
@@ -848,8 +843,8 @@ def _read_matrix_file(path, schema: Schema):
         if len(parties) != count:
             raise EmbeddingFileError(f"header declares {count} rows but file has {len(parties)}")
     values = np.concatenate(blocks) if blocks else np.zeros((0, dim))
-    party_of = np.array(list(parties.values()), dtype=np.int64)
-    return labels, [values[party_of == p] for p in range(N_PARTIES)]
+    party_of = np.fromiter(parties.values(), dtype=np.int64, count=len(parties))
+    return labels, values[np.argsort(party_of, kind="stable")]
 
 
 def _read_rows(chunk: list[tuple[int, str]], dim: int, schema: Schema,

@@ -42,11 +42,12 @@ class TestGradientOracle:
                 store = make_store((2, 2, 2), dim, rng, scale=0.8)
                 w = float(rng.uniform(0.1, 3.0))
                 cfg = TrainConfig(dim=dim, lr=0.01)
-                u0 = store.emb[0][0].copy()
-                v0 = store.emb[1][0].copy()
+                v_row = store.offsets[1]  # page 0; user 0 is row 0
+                u0 = store.emb[0].copy()
+                v0 = store.emb[v_row].copy()
                 explicit_update(store, Edge(Node(0, 0), Node(1, 0), w), cfg)
-                step_u = (store.emb[0][0] - u0) / cfg.lr
-                step_v = (store.emb[1][0] - v0) / cfg.lr
+                step_u = (store.emb[0] - u0) / cfg.lr
+                step_v = (store.emb[v_row] - v0) / cfg.lr
                 fd_u = central_diff(lambda u: w * math.log(sigmoid(float(u @ v0))), u0)
                 fd_v = central_diff(lambda v: w * math.log(sigmoid(float(u0 @ v))), v0)
                 assert rel_err(step_u, fd_u) < 1e-4
@@ -56,8 +57,8 @@ class TestGradientOracle:
                 # implicit step against log sigmoid + sum log(1 - sigmoid)
                 store = make_store((6, 1, 1), dim, rng, scale=0.8)
                 negs = [2, 3, 4]
-                v0 = store.emb[0][0].copy()
-                thetas = {z: store.ctx[0][z].copy() for z in [1] + negs}
+                v0 = store.emb[0].copy()  # users' rows start at 0
+                thetas = {z: store.ctx[z].copy() for z in [1] + negs}
 
                 def objective(v):
                     val = math.log(sigmoid(float(v @ thetas[1])))
@@ -67,7 +68,7 @@ class TestGradientOracle:
 
                 implicit_update(store, Node(0, 0), Node(0, 1),
                                 [Node(0, z) for z in negs], 1.0, TrainConfig(dim=dim, lr=0.01))
-                step = (store.emb[0][0] - v0) / 0.01
+                step = (store.emb[0] - v0) / 0.01
                 assert rel_err(step, central_diff(objective, v0)) < 1e-4
                 checked += 1
         elapsed = time.perf_counter() - start

@@ -269,6 +269,23 @@ class TestSubcommands:
         code = run_cli("walks", "--edges", str(edges), "--out", str(out), "--walk-scale", "0", "--quiet")
         assert code == 2 and "walk_scale must be positive" in capsys.readouterr().err
 
+    def test_hits_on_an_edge_list_without_nodes(self, write_edges, tmp_path, capsys):
+        edges, out = write_edges(), tmp_path / "hits.txt"
+        capsys.readouterr()
+        assert run_cli("hits", "--edges", str(edges), "--quiet") == 0
+        assert capsys.readouterr().out == ""
+        assert run_cli("hits", "--edges", str(edges), "--out", str(out), "--quiet") == 0
+        assert out.read_text() == ""
+
+    def test_hits_ties_in_party_then_index_order(self, write_edges, capsys):
+        # u0 and p0 tie, and so do the isolated u1, c1 and c0; c1 is category 0
+        edges = write_edges("u0 p0", "c1", "u1", "c0")
+        capsys.readouterr()
+        assert run_cli("hits", "--edges", str(edges), "--quiet") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["u0", "p0", "u1", "c1", "c0"]
+        assert [line.split()[1] for line in lines] == ["0.707106781"] * 2 + ["0"] * 3
+
     def test_hits_output_sorted(self, six_node_edges, tmp_path, capsys):
         code = run_cli("hits", "--edges", str(six_node_edges), "--quiet")
         assert code == 0
@@ -484,3 +501,39 @@ class TestOptionSizes:
         else:
             assert len(err) == 1 and err[0].startswith("error: "), err
             assert not out.exists()
+
+
+# The CLI, run by run_bounded with its standard output dropped: prints its exit status.
+_CLI_QUIET_IN_CHILD = """
+import contextlib, io, sys
+from trine.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code)
+"""
+
+
+class TestPaperScale:
+    """`trine synth` at the VisualizeUs node counts, then a small `trine e2e` on its graph, each in a child."""
+
+    # Each command's own peak resident set (VmHWM): about 83 MB for synth and
+    # 78 MB for e2e when this test was written.
+    PEAK_KB = 160 * 1024
+
+    def test_synth_then_e2e_in_bounded_memory(self, tmp_path):
+        edges, report = tmp_path / "paper.txt", tmp_path / "report.txt"
+        (code,), peak_kb = run_bounded(_CLI_QUIET_IN_CHILD, "synth", "--users", "3911", "--tags", "21076",
+                                       "--items", "5013", "--p-in", "0.0005", "--p-out", "0.0001",
+                                       "--out", str(edges), "--quiet")
+        assert code == "0" and peak_kb < self.PEAK_KB, peak_kb
+        g = load_edge_list(edges)
+        assert g.counts == (3911, 21076, 5013) and g.num_edges == 48_501
+        del g
+        (code,), peak_kb = run_bounded(_CLI_QUIET_IN_CHILD, "e2e", "--edges", str(edges), "--folds", "2",
+                                       "--epochs", "1", "--dim", "8", "--max-walks", "1", "--walk-length", "8",
+                                       "--lr", "0.2", "--report", str(report), "--quiet")
+        assert code == "0" and peak_kb < self.PEAK_KB, peak_kb
+        values = dict(line.split(" = ") for line in report.read_text().splitlines())
+        assert values["folds"] == "2" and int(values["n_positive"]) > 0
+        assert 0.0 <= float(values["mean_auc_roc"]) <= 1.0

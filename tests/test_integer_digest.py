@@ -75,8 +75,9 @@ def integer_digest(seed: int) -> tuple[str, list[int]]:
         for i in range(g.counts[p]):
             _int_block(h, sorted(sampler.exclusion_bucket(Node(p, i))))
     sample = _loss_sample(typed.nodes, *typed.windows(cfg.window), g.offsets, sampler, cfg)
-    for centers, contexts, live in sample:
-        for arr in (centers, contexts.ravel(), live.ravel()):
+    for p, (centers, contexts, live) in enumerate(sample):
+        # hashed as indices within the party, as the digest was recorded
+        for arr in (centers - g.offsets[p], contexts.ravel() - g.offsets[p], live.ravel()):
             _int_block(h, arr)
     return h.hexdigest(), [len(centers) for centers, _, _ in sample]
 

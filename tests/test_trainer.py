@@ -21,7 +21,7 @@ from trine.sampling import NegativeSampler
 from trine.synth import planted_graph
 from trine import trainer
 from trine.trainer import (EmbeddingStore, TrainConfig, _BATCH_EDGES, _INIT_STREAM, _Scratch,
-                           _minibatch_step, _non_finite, _sigmoid_vec, _store_of, _with_groupings,
+                           _minibatch_step, _non_finite, _sigmoid_vec, _with_groupings,
                            compute_loss, default_metapaths,
                            explicit_update, implicit_update, init_embeddings,
                            load_embeddings, save_embeddings, sigmoid, train)
@@ -93,9 +93,13 @@ print(g.num_nodes, reported)
 
 
 def make_store(counts, dim, rng, scale=1.0):
+    """Normal draws in global rows (``emb``, then ``ctx``) on a graph of ``counts`` nodes without edges.
+
+    Party ``p``'s rows start at ``store.offsets[p]``.
+    """
     g = build_from_pairs(counts, [])
-    emb = [rng.normal(0, scale, size=(counts[p], dim)) for p in range(3)]
-    ctx = [rng.normal(0, scale, size=(counts[p], dim)) for p in range(3)]
+    emb = rng.normal(0, scale, size=(sum(counts), dim))
+    ctx = rng.normal(0, scale, size=(sum(counts), dim))
     return EmbeddingStore(emb, ctx, g.labels)
 
 
@@ -129,26 +133,24 @@ class TestInitEmbeddings:
         g = build_from_pairs((3, 3, 3), [(0, 0, 0, 1.0)])
         cfg = TrainConfig(dim=4)
         store = init_embeddings(g, cfg, np.random.default_rng(0))
-        for mats in (store.emb, store.ctx):
-            for m in mats:
-                assert m.shape == (3, 4)
-                assert np.all(np.abs(m) <= 0.125)
+        for m in (store.emb, store.ctx):
+            assert m.shape == (9, 4)
+            assert np.all(np.abs(m) <= 0.125)
 
     def test_deterministic(self):
         g = build_from_pairs((2, 2, 2), [(0, 0, 0, 1.0)])
         cfg = TrainConfig(dim=8)
         a = init_embeddings(g, cfg, np.random.default_rng(5))
         b = init_embeddings(g, cfg, np.random.default_rng(5))
-        for p in range(3):
-            assert np.array_equal(a.emb[p], b.emb[p])
-            assert np.array_equal(a.ctx[p], b.ctx[p])
+        assert np.array_equal(a.emb, b.emb)
+        assert np.array_equal(a.ctx, b.ctx)
 
     def test_entry_mean_near_zero(self):
         # 1e6 uniform draws on [-h, h]: |mean| < 3 * (h/sqrt(3)) / sqrt(n)
         g = build_from_pairs((250_000, 1, 1), [(0, 0, 0, 1.0)])
         cfg = TrainConfig(dim=2)
         store = init_embeddings(g, cfg, np.random.default_rng(123))
-        entries = store.emb[0].ravel()
+        entries = store.emb[:g.counts[0]].ravel()
         h = 0.5 / cfg.dim
         assert len(entries) == 500_000
         assert abs(entries.mean()) < 3 * (h / math.sqrt(3)) / math.sqrt(len(entries))
@@ -157,24 +159,25 @@ class TestInitEmbeddings:
 class TestExplicitUpdate:
     def test_zero_weight_no_change(self):
         store = make_store((2, 2, 1), 6, np.random.default_rng(1))
-        before_u = store.emb[0][0].copy()
-        before_v = store.emb[1][1].copy()
+        v_row = store.offsets[1] + 1
+        before_u = store.emb[0].copy()
+        before_v = store.emb[v_row].copy()
         cfg = TrainConfig(dim=6)
         # zero beta for the relation acts as zero-coefficient too
         explicit_update(store, Edge(Node(0, 0), Node(1, 1), 1.0),
                         TrainConfig(dim=6, beta=(0.0, 1.0, 1.0)))
-        assert np.array_equal(store.emb[0][0], before_u)
+        assert np.array_equal(store.emb[0], before_u)
         explicit_update(store, Edge(Node(0, 0), Node(1, 1), 0.0), cfg)
-        assert np.array_equal(store.emb[0][0], before_u)
-        assert np.array_equal(store.emb[1][1], before_v)
+        assert np.array_equal(store.emb[0], before_u)
+        assert np.array_equal(store.emb[v_row], before_v)
 
     def test_saturated_edge_barely_moves(self):
         store = make_store((1, 1, 1), 4, np.random.default_rng(2))
-        store.emb[0][0] = np.array([40.0, 0, 0, 0])
-        store.emb[1][0] = np.array([40.0, 0, 0, 0])
-        before = store.emb[0][0].copy()
+        store.emb[0] = np.array([40.0, 0, 0, 0])  # u0
+        store.emb[1] = np.array([40.0, 0, 0, 0])  # p0
+        before = store.emb[0].copy()
         explicit_update(store, Edge(Node(0, 0), Node(1, 0), 1.0), TrainConfig(dim=4, lr=1.0))
-        assert np.max(np.abs(store.emb[0][0] - before)) < 1e-10
+        assert np.max(np.abs(store.emb[0] - before)) < 1e-10
 
     @pytest.mark.parametrize("relation,parties", [(0, (0, 1)), (1, (1, 2)), (2, (0, 2))])
     def test_matches_finite_differences(self, relation, parties):
@@ -182,11 +185,12 @@ class TestExplicitUpdate:
         a, b = parties
         for _ in range(10):
             store = make_store((2, 2, 2), 6, rng, scale=0.6)
+            u_row, v_row = store.offsets[a], store.offsets[b]
             w = float(rng.uniform(0.5, 3.0))
             eta, gamma = 0.01, 1.0
             cfg = TrainConfig(dim=6, lr=eta, gamma=gamma)
-            u0 = store.emb[a][0].copy()
-            v0 = store.emb[b][0].copy()
+            u0 = store.emb[u_row].copy()
+            v0 = store.emb[v_row].copy()
 
             def obj_u(u, v0=v0, w=w):
                 return w * math.log(sigmoid(float(u @ v0)))
@@ -195,38 +199,40 @@ class TestExplicitUpdate:
                 return w * math.log(sigmoid(float(u0 @ v)))
 
             explicit_update(store, Edge(Node(a, 0), Node(b, 0), w), cfg)
-            step_u = (store.emb[a][0] - u0) / (eta * gamma * cfg.beta[relation])
-            step_v = (store.emb[b][0] - v0) / (eta * gamma * cfg.beta[relation])
+            step_u = (store.emb[u_row] - u0) / (eta * gamma * cfg.beta[relation])
+            step_v = (store.emb[v_row] - v0) / (eta * gamma * cfg.beta[relation])
             assert rel_err(step_u, central_diff(obj_u, u0)) < 1e-5
             assert rel_err(step_v, central_diff(obj_v, v0)) < 1e-5
 
     def test_nonfinite_input_raises(self):
         store = make_store((1, 1, 1), 4, np.random.default_rng(3))
-        store.emb[0][0][0] = np.inf
+        store.emb[0, 0] = np.inf
         with pytest.raises(NonFiniteError):
             explicit_update(store, Edge(Node(0, 0), Node(1, 0), 1.0), TrainConfig(dim=4))
 
 
 class TestImplicitUpdate:
+    # party 0's rows start at 0, so a user's index is its row
+
     def test_saturated_positive_no_change(self):
         store = make_store((4, 1, 1), 3, np.random.default_rng(4))
-        store.emb[0][0] = np.array([50.0, 0.0, 0.0])
-        store.ctx[0][1] = np.array([50.0, 0.0, 0.0])  # sigma(v . theta) ~= 1
-        before_v = store.emb[0][0].copy()
-        before_t = store.ctx[0][1].copy()
+        store.emb[0] = np.array([50.0, 0.0, 0.0])
+        store.ctx[1] = np.array([50.0, 0.0, 0.0])  # sigma(v . theta) ~= 1
+        before_v = store.emb[0].copy()
+        before_t = store.ctx[1].copy()
         implicit_update(store, Node(0, 0), Node(0, 1), [], 1.0, TrainConfig(dim=3, lr=1.0))
-        assert np.max(np.abs(store.emb[0][0] - before_v)) < 1e-9
-        assert np.max(np.abs(store.ctx[0][1] - before_t)) < 1e-9
+        assert np.max(np.abs(store.emb[0] - before_v)) < 1e-9
+        assert np.max(np.abs(store.ctx[1] - before_t)) < 1e-9
 
     def test_saturated_negative_no_change(self):
         store = make_store((4, 1, 1), 3, np.random.default_rng(5))
-        store.emb[0][0] = np.array([50.0, 0.0, 0.0])
-        store.ctx[0][2] = np.array([-50.0, 0.0, 0.0])  # sigma ~= 0 for the negative
-        store.ctx[0][1] = np.zeros(3)
-        before = store.ctx[0][2].copy()
+        store.emb[0] = np.array([50.0, 0.0, 0.0])
+        store.ctx[2] = np.array([-50.0, 0.0, 0.0])  # sigma ~= 0 for the negative
+        store.ctx[1] = np.zeros(3)
+        before = store.ctx[2].copy()
         implicit_update(store, Node(0, 0), Node(0, 1), [Node(0, 2)], 1.0,
                         TrainConfig(dim=3, lr=1.0))
-        assert np.max(np.abs(store.ctx[0][2] - before)) < 1e-9
+        assert np.max(np.abs(store.ctx[2] - before)) < 1e-9
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(77)
@@ -235,8 +241,8 @@ class TestImplicitUpdate:
             alpha, eta = 1.3, 0.01
             cfg = TrainConfig(dim=6, lr=eta, alpha=(alpha, 1.0, 1.0))
             negs = [2, 3, 4]
-            v0 = store.emb[0][0].copy()
-            thetas0 = {z: store.ctx[0][z].copy() for z in [1] + negs}
+            v0 = store.emb[0].copy()
+            thetas0 = {z: store.ctx[z].copy() for z in [1] + negs}
 
             def obj_center(v):
                 val = math.log(sigmoid(float(v @ thetas0[1])))
@@ -246,19 +252,19 @@ class TestImplicitUpdate:
 
             implicit_update(store, Node(0, 0), Node(0, 1), [Node(0, z) for z in negs],
                             alpha, cfg)
-            step_v = (store.emb[0][0] - v0) / (eta * alpha)
+            step_v = (store.emb[0] - v0) / (eta * alpha)
             assert rel_err(step_v, central_diff(obj_center, v0)) < 1e-5
             # context-vector steps against per-theta objectives
             def obj_theta_pos(t, v0=v0):
                 return math.log(sigmoid(float(v0 @ t)))
 
-            step_t = (store.ctx[0][1] - thetas0[1]) / (eta * alpha)
+            step_t = (store.ctx[1] - thetas0[1]) / (eta * alpha)
             assert rel_err(step_t, central_diff(obj_theta_pos, thetas0[1])) < 1e-5
             for z in negs:
                 def obj_theta_neg(t, v0=v0):
                     return math.log(1 - sigmoid(float(v0 @ t)))
 
-                step_t = (store.ctx[0][z] - thetas0[z]) / (eta * alpha)
+                step_t = (store.ctx[z] - thetas0[z]) / (eta * alpha)
                 assert rel_err(step_t, central_diff(obj_theta_neg, thetas0[z])) < 1e-5
 
     def test_duplicate_negative_accumulates(self):
@@ -266,22 +272,22 @@ class TestImplicitUpdate:
         store = make_store((5, 1, 1), 4, rng, scale=0.5)
         alpha, eta = 1.0, 0.01
         cfg = TrainConfig(dim=4, lr=eta)
-        v0 = store.emb[0][0].copy()
-        theta0 = store.ctx[0][2].copy()
-        ctx_pos0 = store.ctx[0][1].copy()
+        v0 = store.emb[0].copy()
+        theta0 = store.ctx[2].copy()
+        ctx_pos0 = store.ctx[1].copy()
 
         def obj_center(v):
             return (math.log(sigmoid(float(v @ ctx_pos0)))
                     + 2 * math.log(1 - sigmoid(float(v @ theta0))))
 
         implicit_update(store, Node(0, 0), Node(0, 1), [Node(0, 2), Node(0, 2)], alpha, cfg)
-        step_v = (store.emb[0][0] - v0) / (eta * alpha)
+        step_v = (store.emb[0] - v0) / (eta * alpha)
         assert rel_err(step_v, central_diff(obj_center, v0)) < 1e-5
         # theta_2 receives both occurrences' contributions
         def obj_theta(t, v0=v0):
             return 2 * math.log(1 - sigmoid(float(v0 @ t)))
 
-        step_t = (store.ctx[0][2] - theta0) / (eta * alpha)
+        step_t = (store.ctx[2] - theta0) / (eta * alpha)
         assert rel_err(step_t, central_diff(obj_theta, theta0)) < 1e-5
 
     def test_party_mismatch_rejected(self):
@@ -304,17 +310,7 @@ class TestImplicitUpdate:
             explicit_update(store, Edge(Node(0, 0), Node(1, 0), w), cfg)
             implicit_update(store, Node(0, 0), Node(0, 1), [Node(0, 2), Node(0, 3)],
                             float(rng.uniform(0, 2)), cfg)
-            for mats in (store.emb, store.ctx):
-                for m in mats:
-                    assert np.all(np.isfinite(m))
-
-
-def flat_store(counts, dim, rng, scale=0.5):
-    """Flat (nodes, dim) matrices, a store of per-party views into them, and each party's first row."""
-    g = build_from_pairs(counts, [])
-    emb = rng.normal(0, scale, size=(sum(counts), dim))
-    ctx = rng.normal(0, scale, size=(sum(counts), dim))
-    return emb, ctx, _store_of(emb, ctx, g), np.concatenate([[0], np.cumsum(counts)])
+            assert np.all(np.isfinite(store.emb)) and np.all(np.isfinite(store.ctx))
 
 
 def run_batch(emb, ctx, edges=(), pairs=(), negatives=2):
@@ -357,9 +353,8 @@ def reference_minibatch_step(emb, ctx, src, dst, edge_step, centers, contexts, p
 
 
 def assert_stores_close(a, b, atol=1e-12):
-    for p in range(3):
-        assert np.allclose(a.emb[p], b.emb[p], rtol=0, atol=atol)
-        assert np.allclose(a.ctx[p], b.ctx[p], rtol=0, atol=atol)
+    assert np.allclose(a.emb, b.emb, rtol=0, atol=atol)
+    assert np.allclose(a.ctx, b.ctx, rtol=0, atol=atol)
 
 
 class TestMinibatchStep:
@@ -370,7 +365,8 @@ class TestMinibatchStep:
     def test_one_edge_alone_matches_explicit_update(self):
         rng = np.random.default_rng(31)
         for r, (a, b) in enumerate([(0, 1), (1, 2), (0, 2)]):
-            emb, ctx, store, first = flat_store((4, 3, 5), 6, rng)
+            store = make_store((4, 3, 5), 6, rng, scale=0.5)
+            emb, ctx, first = store.emb, store.ctx, store.offsets
             reference = store.copy()
             w = float(rng.uniform(0.5, 3.0))
             explicit_update(reference, Edge(Node(a, 2), Node(b, 1), w), self.cfg)
@@ -381,7 +377,8 @@ class TestMinibatchStep:
     def test_one_pair_alone_matches_implicit_update(self):
         rng = np.random.default_rng(32)
         for p in range(3):
-            emb, ctx, store, first = flat_store((6, 5, 7), 6, rng)
+            store = make_store((6, 5, 7), 6, rng, scale=0.5)
+            emb, ctx, first = store.emb, store.ctx, store.offsets
             reference = store.copy()
             # a repeated negative accumulates, as in the scalar update
             implicit_update(reference, Node(p, 0), Node(p, 1), [Node(p, 3), Node(p, 3)],
@@ -392,7 +389,8 @@ class TestMinibatchStep:
 
     def test_distinct_rows_match_scalar_updates_in_order(self):
         rng = np.random.default_rng(33)
-        emb, ctx, store, first = flat_store((8, 8, 8), 6, rng)
+        store = make_store((8, 8, 8), 6, rng, scale=0.5)
+        emb, ctx, first = store.emb, store.ctx, store.offsets
         reference = store.copy()
         edges, pairs = [], []
         for r, (a, b, i, j) in enumerate([(0, 1, 0, 0), (1, 2, 1, 1), (0, 2, 2, 2)]):
@@ -410,7 +408,8 @@ class TestMinibatchStep:
 
     def test_row_hit_twice_gets_both_batch_start_gradients(self):
         rng = np.random.default_rng(34)
-        emb, ctx, store, first = flat_store((3, 3, 3), 6, rng)
+        store = make_store((3, 3, 3), 6, rng, scale=0.5)
+        emb, ctx, first = store.emb, store.ctx, store.offsets
         start = store.copy()
         expected = store.copy()
         steps = []
@@ -418,30 +417,30 @@ class TestMinibatchStep:
         for j, w in ((0, 1.0), (2, 2.5)):
             single = start.copy()
             explicit_update(single, Edge(Node(0, 0), Node(1, j), w), self.cfg)
-            for p in range(3):
-                expected.emb[p] += single.emb[p] - start.emb[p]
+            expected.emb += single.emb - start.emb
             step = self.cfg.lr * self.cfg.gamma * self.cfg.beta[0] * w
             steps.append((first[0], first[1] + j, step))
         single = start.copy()
         implicit_update(single, Node(0, 0), Node(0, 1), [Node(0, 2), Node(0, 2)],
                         self.cfg.alpha[0], self.cfg)
-        for p in range(3):
-            expected.emb[p] += single.emb[p] - start.emb[p]
-            expected.ctx[p] += single.ctx[p] - start.ctx[p]
+        expected.emb += single.emb - start.emb
+        expected.ctx += single.ctx - start.ctx
         run_batch(emb, ctx, steps, [(first[0], [first[0] + 1, first[0] + 2, first[0] + 2],
                                      self.cfg.lr * self.cfg.alpha[0])])
         assert_stores_close(store, expected)
 
     def test_zero_step_entries_change_nothing(self):
         rng = np.random.default_rng(35)
-        emb, ctx, store, first = flat_store((4, 4, 4), 6, rng)
+        store = make_store((4, 4, 4), 6, rng, scale=0.5)
+        emb, ctx, first = store.emb, store.ctx, store.offsets
         before = store.copy()
         run_batch(emb, ctx, [(first[0], first[1], 0.0)], [(first[2], [first[2] + 1] * 3, 0.0)])
         assert_stores_close(store, before, atol=0)
 
     def test_non_finite_row_raises(self):
         rng = np.random.default_rng(36)
-        emb, ctx, store, first = flat_store((2, 2, 2), 6, rng)
+        store = make_store((2, 2, 2), 6, rng, scale=0.5)
+        emb, ctx, first = store.emb, store.ctx, store.offsets
         emb[first[1]] = np.inf
         with pytest.raises(NonFiniteError):
             run_batch(emb, ctx, [(first[0], first[1], 0.1)])
@@ -462,7 +461,8 @@ class TestScratch:
 
     def test_growing_and_shrinking_batches_match_the_reference(self):
         rng = np.random.default_rng(41)
-        emb, ctx, _, _ = flat_store((9, 7, 5), self.cfg.dim, rng)
+        store = make_store((9, 7, 5), self.cfg.dim, rng, scale=0.5)
+        emb, ctx = store.emb, store.ctx
         ref_emb, ref_ctx = emb.copy(), ctx.copy()
         scratch = _Scratch.of(self.cfg, self.edges, 2 * self.cfg.window)
         most = 2 * self.edges * 2 * self.cfg.window
@@ -479,7 +479,8 @@ class TestScratch:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_diverging_batch_raises(self):
         rng = np.random.default_rng(42)
-        emb, ctx, _, _ = flat_store((9, 7, 5), self.cfg.dim, rng, scale=1e3)
+        store = make_store((9, 7, 5), self.cfg.dim, rng, scale=1e3)
+        emb, ctx = store.emb, store.ctx
         scratch = _Scratch.of(self.cfg, self.edges, 2 * self.cfg.window)
         with pytest.raises(NonFiniteError):
             _minibatch_step(emb, ctx, *_with_groupings(*self._batch(rng, 6, 40, len(emb), step=1e305)),
@@ -669,9 +670,7 @@ class TestComputeLoss:
 
     def test_single_edge_at_zero_dot(self):
         g = self._graph_one_edge()
-        store = EmbeddingStore([np.zeros((1, 4)), np.zeros((1, 4)), np.zeros((0, 4))],
-                               [np.zeros((1, 4)), np.zeros((1, 4)), np.zeros((0, 4))],
-                               g.labels)
+        store = EmbeddingStore(np.zeros((2, 4)), np.zeros((2, 4)), g.labels)
         typed = typed_from_sequences(([], [], []))
         sampler = NegativeSampler.build(typed, g)
         report = compute_loss(store, g, typed, sampler, TrainConfig(dim=4))
@@ -727,7 +726,9 @@ class TestComputeLoss:
         expected = []
         for p, (centers, contexts, live) in enumerate(sample):
             assert contexts.shape == live.shape == (len(centers), 1 + cfg.negatives)
-            empty = ~sampler.has_negatives_at(g.offsets[p] + centers)
+            empty = ~sampler.has_negatives_at(centers)
+            # the draw is in global rows; the buckets and nodes below in indices within the party
+            centers, contexts = centers - g.offsets[p], contexts - g.offsets[p]
             dead = np.zeros_like(live)
             dead[empty, 1:] = True
             assert np.array_equal(~live, dead)
@@ -737,11 +738,11 @@ class TestComputeLoss:
                 assert all(z not in excluded for z, on in zip(row[1:], mask[1:]) if on)
                 for k, (z, on) in enumerate(zip(row, mask)):
                     if on:
-                        dot = float(store.emb[p][c] @ store.ctx[p][z])
+                        dot = float(store.emb[g.offsets[p] + c] @ store.ctx[g.offsets[p] + z])
                         nll -= math.log(sigmoid(dot if k == 0 else -dot))
             expected.append(nll)
         centers, _, live = sample[0]
-        assert set(centers[~live[:, 1]].tolist()) == {0}
+        assert set(centers[~live[:, 1]].tolist()) == {0}  # user 0, at row 0
         assert live[centers != 0].all() and len(sample[1][0]) > 0 and not sample[1][2][:, 1:].any()
         implicit = compute_loss(store, g, typed, sampler, cfg).implicit
         assert implicit == pytest.approx(tuple(expected), rel=1e-12, abs=1e-12)
@@ -761,7 +762,8 @@ class TestComputeLoss:
             if len(g.edge_wt[r]) == 0:
                 expected.append(0.0)
                 continue
-            dots = np.einsum("ij,ij->i", store.emb[a][g.edge_src[r]], store.emb[b][g.edge_dst[r]])
+            dots = np.einsum("ij,ij->i", store.emb[g.offsets[a] + g.edge_src[r]],
+                             store.emb[g.offsets[b] + g.edge_dst[r]])
             expected.append(float(-(g.edge_wt[r] * trainer._log_sigmoid(dots)).sum()))
         assert chunked == tuple(expected)
 
@@ -775,18 +777,16 @@ class TestTrain:
         cfg = TrainConfig(dim=6, epochs=0, seed=3, max_walks=2, walk_length=6)
         store = train(g, default_metapaths(), cfg)
         expected = init_embeddings(g, cfg, np.random.default_rng([cfg.seed, _INIT_STREAM]))
-        for p in range(3):
-            assert np.array_equal(store.emb[p], expected.emb[p])
-            assert np.array_equal(store.ctx[p], expected.ctx[p])
+        assert np.array_equal(store.emb, expected.emb)
+        assert np.array_equal(store.ctx, expected.ctx)
 
     def test_bit_identical_across_runs(self):
         g = self._planted()
         cfg = TrainConfig(dim=6, epochs=3, seed=9, max_walks=2, walk_length=8)
         a = train(g, default_metapaths(), cfg)
         b = train(g, default_metapaths(), cfg)
-        for p in range(3):
-            assert np.array_equal(a.emb[p], b.emb[p])
-            assert np.array_equal(a.ctx[p], b.ctx[p])
+        assert np.array_equal(a.emb, b.emb)
+        assert np.array_equal(a.ctx, b.ctx)
 
     def test_objective_improves(self):
         g = self._planted()
@@ -809,9 +809,8 @@ class TestTrain:
         g = self._planted()
         cfg = TrainConfig(dim=4, epochs=3, seed=5, lr=500.0, max_walks=1, walk_length=6)
         store = train(g, default_metapaths(), cfg)
-        for p in range(3):
-            assert np.all(np.isfinite(store.emb[p]))
-            assert np.all(np.isfinite(store.ctx[p]))
+        assert np.all(np.isfinite(store.emb))
+        assert np.all(np.isfinite(store.ctx))
 
     @pytest.mark.parametrize("batch_edges", [1, 10_000])
     def test_batch_size_extremes_finite_and_repeatable(self, monkeypatch, batch_edges):
@@ -822,11 +821,11 @@ class TestTrain:
         cfg = TrainConfig(dim=6, epochs=3, seed=9, max_walks=2, walk_length=8, lr_decay=True)
         runs = [train(g, default_metapaths(), cfg) for _ in range(2)]
         initial = init_embeddings(g, cfg, np.random.default_rng([cfg.seed, _INIT_STREAM]))
-        for p in range(3):
-            assert np.all(np.isfinite(runs[0].emb[p])) and np.all(np.isfinite(runs[0].ctx[p]))
-            assert np.array_equal(runs[0].emb[p], runs[1].emb[p])
-            assert np.array_equal(runs[0].ctx[p], runs[1].ctx[p])
-        assert not np.array_equal(runs[0].emb[0], initial.emb[0])
+        assert np.all(np.isfinite(runs[0].emb)) and np.all(np.isfinite(runs[0].ctx))
+        assert np.array_equal(runs[0].emb, runs[1].emb)
+        assert np.array_equal(runs[0].ctx, runs[1].ctx)
+        users = slice(0, g.counts[0])
+        assert not np.array_equal(runs[0].emb[users], initial.emb[users])
 
     def test_tiny_parties_with_many_edges_stay_bounded(self):
         # every edge ends at one of three tags or three categories, so a batch
@@ -839,7 +838,7 @@ class TestTrain:
         store = train(g, default_metapaths(), cfg, on_epoch=lambda e, r: losses.append(r.total))
         assert len(losses) == cfg.epochs + 1
         assert all(b > a for a, b in zip(losses, losses[1:])), losses
-        assert max(np.abs(m).max() for m in store.emb + store.ctx) < 10.0
+        assert max(np.abs(store.emb).max(), np.abs(store.ctx).max()) < 10.0
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
     def test_batches_do_not_fault_in_fresh_memory(self):
@@ -885,8 +884,8 @@ def reference_train(g, cfg):
                              cfg.walk_scale, cfg.walk_length, cfg.seed)
     typed = filter_by_type(corpus)
     sampler = NegativeSampler.build(typed, g, cfg.power, cfg.window)
-    emb, ctx = trainer._init_flat(g, cfg, np.random.default_rng([cfg.seed, _INIT_STREAM]))
-    store = _store_of(emb, ctx, g)
+    store = init_embeddings(g, cfg, np.random.default_rng([cfg.seed, _INIT_STREAM]))
+    emb, ctx = store.emb, store.ctx
     rng = np.random.default_rng([cfg.seed, trainer._TRAIN_STREAM])
     loss_sample = trainer._loss_sample(typed.nodes, *typed.windows(cfg.window), g.offsets, sampler, cfg)
     prev = trainer._loss_on_sample(store, g, loss_sample, cfg)
@@ -940,8 +939,8 @@ class TestPipelinedTrain:
         epochs = []
         store = train(g, default_metapaths(), cfg, on_epoch=lambda e, r: epochs.append(e))
         emb, ctx = reference_train(g, cfg)
-        assert np.array_equal(np.concatenate(store.emb), emb)
-        assert np.array_equal(np.concatenate(store.ctx), ctx)
+        assert np.array_equal(store.emb, emb)
+        assert np.array_equal(store.ctx, ctx)
         return epochs
 
     @pytest.mark.parametrize("changes", [
@@ -1140,9 +1139,8 @@ class TestPersistence:
         save_embeddings(store, emb_path, ctx_path)
         assert (emb_path.read_text().splitlines()[0]) == "9 4"
         loaded = load_embeddings(emb_path, DEFAULT_SCHEMA, ctx_path)
-        for p in range(3):
-            assert np.allclose(loaded.emb[p], store.emb[p], rtol=1e-8, atol=1e-12)
-            assert np.allclose(loaded.ctx[p], store.ctx[p], rtol=1e-8, atol=1e-12)
+        assert np.allclose(loaded.emb, store.emb, rtol=1e-8, atol=1e-12)
+        assert np.allclose(loaded.ctx, store.ctx, rtol=1e-8, atol=1e-12)
         assert loaded.labels == store.labels
 
     def test_second_round_trip_is_exact(self, tmp_path):
@@ -1200,9 +1198,35 @@ class TestPersistence:
         shuffled = type(g)(g.schema, (["u1", "u0"], ["p0"], []), edges)
         loaded = load_embeddings(path, DEFAULT_SCHEMA)
         permuted = loaded.reindexed_to(shuffled)
-        assert np.array_equal(permuted.emb[0][0], loaded.emb[0][1])
-        assert np.array_equal(permuted.emb[0][1], loaded.emb[0][0])
+        assert np.array_equal(permuted.emb[0], loaded.emb[1])  # users' rows come first
+        assert np.array_equal(permuted.emb[1], loaded.emb[0])
         assert permuted.labels[0] == ["u1", "u0"]
+
+    def test_parties_in_any_file_order(self, tmp_path):
+        path, ctx_path = tmp_path / "emb.txt", tmp_path / "emb.txt.ctx"
+        path.write_text("4 2\np0 1 2\nu1 3 4\nc0 5 6\nu0 7 8\n")
+        ctx_path.write_text("4 2\np0 -1 -2\nu1 -3 -4\nc0 -5 -6\nu0 -7 -8\n")
+        loaded = load_embeddings(path, DEFAULT_SCHEMA, ctx_path)
+        # party by party, each party's labels and rows in file order
+        assert loaded.labels == (["u1", "u0"], ["p0"], ["c0"])
+        assert loaded.offsets.tolist() == [0, 2, 3, 4]
+        assert loaded.emb.tolist() == [[3, 4], [7, 8], [1, 2], [5, 6]]
+        assert loaded.ctx.tolist() == [[-3, -4], [-7, -8], [-1, -2], [-5, -6]]
+        # written back party by party, it loads as itself
+        save_embeddings(loaded, tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_text() == "4 2\nu1 3 4\nu0 7 8\np0 1 2\nc0 5 6\n"
+
+    def test_reindex_to_a_graph_with_an_empty_party(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("4 2\nc0 5 6\nu0 1 2\np0 3 4\nu1 7 8\n")
+        g = build_from_pairs((2, 1, 0), [(0, 0, 0, 1.0), (0, 1, 0, 1.0)])
+        store = load_embeddings(path, DEFAULT_SCHEMA).reindexed_to(g)
+        assert store.labels == (["u0", "u1"], ["p0"], [])
+        assert store.offsets.tolist() == [0, 2, 3, 3]
+        assert store.emb.tolist() == [[1, 2], [7, 8], [3, 4]]
+        assert store.ctx.shape == (3, 2) and not store.ctx.any()
+        empty = build_from_pairs((0, 0, 0), [])
+        assert load_embeddings(path, DEFAULT_SCHEMA).reindexed_to(empty).emb.shape == (0, 2)
 
     def test_reindex_missing_label(self, tmp_path):
         g = build_from_pairs((1, 1, 0), [(0, 0, 0, 1.0)])
