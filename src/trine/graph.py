@@ -10,7 +10,13 @@ Embedding matrices, HITS scores and the global edge arrays all use it. The
 graph also owns the one adjacency: the six cross-party CSR blocks stacked
 in (a, b) order (01, 02, 10, 12, 20, 21). Block ``(a, b)`` starts at row
 ``base[a, b]``, and its row ``base[a, b] + i`` lists the ``b``-party
-neighbors of node ``i`` of party ``a`` in index order.
+neighbors of node ``i`` of party ``a`` in index order. Only the walks read
+it, so it is built on first use.
+
+``load_edge_list`` parses a file in blocks of ``_LOAD_BLOCK`` lines, each
+in bulk: ``str.split`` tokenises the block's lines, numpy masks over the
+token counts give each line's kind and faults, and the labels are numbered
+in order of first appearance by dict operations over the whole block.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -35,6 +42,11 @@ RELATION_OF_PAIR: dict[tuple[int, int], int] = {
 
 # Relation names as used on the command line ("13" = parties T1 and T3).
 RELATION_NAMES: tuple[str, ...] = ("12", "23", "13")
+
+# Edge-list lines that one bulk pass of load_edge_list parses. At the
+# VisualizeUs node counts a whole-file pass raised the load's peak resident
+# set from 51 to 71 MB; blocks of this size keep the per-line loop's peak.
+_LOAD_BLOCK = 4_096
 
 
 class Node(NamedTuple):
@@ -163,8 +175,8 @@ class TripartiteGraph:
     not), so a built graph needs no later check. The graph stores
     them once, as ``edge_src`` / ``edge_dst`` / ``edge_wt`` sorted by (i, j)
     without repeats. From them it builds, once, the global layout
-    ``offsets``, the same edges in global rows (``edge_rows``) and the
-    stacked adjacency (``adj``). It is read-only once built.
+    ``offsets`` and the same edges in global rows (``edge_rows``), and on
+    first use the stacked adjacency (``adj``). It is read-only once built.
     """
 
     def __init__(self, schema: Schema, labels: tuple[list[str], ...],
@@ -185,8 +197,7 @@ class TripartiteGraph:
             bad = np.flatnonzero(~((wt > 0) & (wt < np.inf)))  # NaN fails wt > 0
             if len(bad):
                 k = bad[0]
-                kind = "non-positive" if wt[k] <= 0 else "non-finite"
-                raise EdgeListError(f"edge {self._edge_label(r, src[k], dst[k])} has {kind} weight {wt[k]}")
+                raise EdgeListError(_bad_weight(self._edge_label(r, src[k], dst[k]), wt[k]))
             n_b = max(self.counts[b], 1)
             codes, inverse = np.unique(src * n_b + dst, return_inverse=True)
             # bincount sums each pair's weights in input order from 0.0 (int64 if empty)
@@ -209,6 +220,10 @@ class TripartiteGraph:
             np.concatenate([self.edge_src[r] + self.offsets[a] for r, (a, _) in enumerate(RELATIONS)]),
             np.concatenate([self.edge_dst[r] + self.offsets[b] for r, (_, b) in enumerate(RELATIONS)]),
             wt)
+
+    @functools.cached_property
+    def adj(self) -> StackedAdjacency:
+        """The stacked adjacency, built on first use; see the module docstring."""
         # blocks (a, b) in (0, 1), (0, 2), (1, 0), ... order, each row's neighbors sorted; the
         # forward blocks of the relations list dst as neighbors, the reverse blocks src
         blocks = list(itertools.permutations(range(N_PARTIES), 2))
@@ -217,10 +232,11 @@ class TripartiteGraph:
         row = np.concatenate([base[a, b] + self.edge_src[r] for r, (a, b) in enumerate(RELATIONS)]
                              + [base[b, a] + self.edge_dst[r] for r, (a, b) in enumerate(RELATIONS)])
         nbrs = np.concatenate(self.edge_dst + self.edge_src)
-        order = np.lexsort((nbrs, row))
+        # a row lists each neighbor once, so the keys are distinct and any sort orders them alike
+        order = np.argsort(row * max(self.counts) + nbrs)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=2 * self.num_nodes))])
-        self.adj = StackedAdjacency(base, indptr.astype(np.int64), nbrs[order],
-                                    np.concatenate([wt, wt])[order])
+        wt = self.edge_rows.wt
+        return StackedAdjacency(base, indptr.astype(np.int64), nbrs[order], np.concatenate([wt, wt])[order])
 
     def _edge_label(self, relation: int, i: int, j: int) -> str:
         a, b = RELATIONS[relation]
@@ -313,17 +329,12 @@ class GraphBuilder:
 
     def add_edge(self, src_label: str, dst_label: str, weight: float = 1.0) -> None:
         """Raises :class:`EdgeListError` on a weight that is not finite and positive."""
-        if weight <= 0:
-            raise EdgeListError(f"edge ({src_label}, {dst_label}) has non-positive weight {weight}")
-        if not math.isfinite(weight):
-            raise EdgeListError(f"edge ({src_label}, {dst_label}) has non-finite weight {weight}")
+        if not 0 < weight < math.inf:  # NaN fails 0 < weight
+            raise EdgeListError(_bad_weight(f"({src_label}, {dst_label})", weight))
         u = self._intern(src_label)
         v = self._intern(dst_label)
         if u.party == v.party:
-            raise EdgeListError(
-                f"intra-party edge ({src_label}, {dst_label}): both nodes are "
-                f"{self.schema.party_names[u.party]} nodes"
-            )
+            raise EdgeListError(_intra_party(self.schema, src_label, dst_label, u.party))
         r = RELATION_OF_PAIR[(u.party, v.party)]
         a, _ = RELATIONS[r]
         i, j = (u.index, v.index) if u.party == a else (v.index, u.index)
@@ -334,46 +345,140 @@ class GraphBuilder:
                                tuple(tuple(zip(*rows)) or ((), (), ()) for rows in self._edges))
 
 
+def _bad_weight(edge: str, weight: float) -> str:
+    """What is wrong with an ``edge`` whose weight is not finite and positive."""
+    kind = "non-positive" if weight <= 0 else "non-finite"
+    return f"edge {edge} has {kind} weight {weight}"
+
+
+def _intra_party(schema: Schema, src_label: str, dst_label: str, party: int) -> str:
+    return f"intra-party edge ({src_label}, {dst_label}): both nodes are {schema.party_names[party]} nodes"
+
+
 def load_edge_list(path, schema: Schema = DEFAULT_SCHEMA) -> TripartiteGraph:
     """Load a graph from a whitespace-separated edge-list file.
 
     Each non-comment line is ``<src-label> <dst-label> [weight]``; a missing
     weight defaults to 1.0. A line holding a single label declares a node
     without edges, so graphs with isolated nodes survive a file round trip.
-    Lines starting with ``#`` and blank lines are skipped. Raises
-    :class:`EdgeListError` with the line number on malformed input or a
-    weight that is not finite and positive, and without one when a pair's
-    repeated weights sum past float range; :class:`SchemaError` on unknown
-    type prefixes.
+    Lines starting with ``#`` and blank lines are skipped. Nodes are numbered
+    per party in order of first appearance, and a repeated pair's weights are
+    summed in file order. Raises :class:`EdgeListError` with the line number
+    on malformed input or a weight that is not finite and positive, and
+    without one when a pair's repeated weights sum past float range;
+    :class:`SchemaError` on unknown type prefixes. The first faulty line's
+    error is raised, and of its faults the first of: too many fields, a
+    weight ``float()`` rejects, a bad weight value, the first label's
+    prefix, the second label's prefix, both labels in one party.
     """
-    builder = GraphBuilder(schema)
+    reader = _EdgeListReader(schema)
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) == 1:
+        while lines := list(itertools.islice(fh, _LOAD_BLOCK)):
+            reader.read(lines)
+    return reader.graph()
+
+
+class _EdgeListReader:
+    """:func:`load_edge_list`'s state between blocks: the labels so far and the edges read."""
+
+    def __init__(self, schema: Schema):
+        self.schema = schema
+        self._party_of_char = {ch: p for p, ch in enumerate(schema.type_chars)}
+        self._ids: dict[str, int] = {}  # label -> number, in order of first appearance
+        self._party = np.empty(0, dtype=np.int8)  # each number's party, -1 for an unknown prefix
+        self._edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # per block: src, dst, wt
+        self._lines = 0
+
+    def read(self, lines: list[str]) -> None:
+        """Take the next block of lines, or raise the error of its first faulty line."""
+        n = len(lines)
+        fields = list(map(str.split, lines))
+        width = np.fromiter(map(len, fields), dtype=np.int64, count=n)
+        tokens = np.array(list(itertools.chain.from_iterable(fields)), dtype=object)
+        head = np.cumsum(width) - width  # each line's first token
+        comment = np.zeros(n, dtype=bool)
+        live = np.flatnonzero(width)
+        comment[live] = np.fromiter(map(str.startswith, tokens[head[live]], itertools.repeat("#")),
+                                    dtype=bool, count=len(live))
+        kept = (width > 0) & ~comment
+        edge = kept & ((width == 2) | (width == 3))
+        labelled = kept & (width < 4)  # a node line or an edge line
+        too_wide = kept & (width > 3)
+
+        wt = np.ones(n)
+        weighted = np.flatnonzero(kept & (width == 3))
+        text = tokens[head[weighted] + 2].tolist()
+        unparsed = n  # the line of the first weight float() rejects, if any
+        rest = iter(text)
+        try:
+            wt[weighted] = list(map(float, rest))
+        except ValueError:
+            k = len(text) - len(list(rest)) - 1  # map stops at the rejected weight
+            unparsed = int(weighted[k])
+            wt[weighted[:k]] = list(map(float, text[:k]))
+        bad_wt = edge & ~((wt > 0) & (wt < np.inf))  # NaN fails wt > 0
+
+        # each labelled line's first label, and each edge line's second
+        at = np.zeros(len(tokens), dtype=bool)
+        at[head[labelled]] = True
+        at[head[edge] + 1] = True
+        slot = np.cumsum(at) - 1
+        number = self._number(tokens[at].tolist())
+        party = self._party[number]
+        src_party, dst_party = np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int8)
+        src_party[labelled] = party[slot[head[labelled]]]
+        dst_party[edge] = party[slot[head[edge] + 1]]
+
+        faulty = (too_wide | bad_wt | (labelled & (src_party < 0))
+                  | (edge & ((dst_party < 0) | (src_party == dst_party))))
+        faulty[unparsed:] = True
+        if faulty.any():
+            k = int(faulty.argmax())
+            line_no = self._lines + k + 1
+            if k == unparsed:
+                raise EdgeListError(f"bad weight {fields[k][2]!r}", line_no)
+            if too_wide[k]:
+                raise EdgeListError(f"expected 'src dst [weight]', got {lines[k].strip()!r}", line_no)
+            labels = fields[k][:2]
+            if bad_wt[k]:
+                raise EdgeListError(_bad_weight("({}, {})".format(*labels), float(wt[k])), line_no)
+            for label in labels:
                 try:
-                    builder.add_node(parts[0])
+                    self.schema.party_of_label(label)
                 except SchemaError as exc:
                     raise SchemaError(f"line {line_no}: {exc}") from None
-                continue
-            if len(parts) not in (2, 3):
-                raise EdgeListError(f"expected 'src dst [weight]', got {line!r}", line_no)
-            weight = 1.0
-            if len(parts) == 3:
-                try:
-                    weight = float(parts[2])
-                except ValueError:
-                    raise EdgeListError(f"bad weight {parts[2]!r}", line_no) from None
-            try:
-                builder.add_edge(parts[0], parts[1], weight)
-            except EdgeListError as exc:
-                raise EdgeListError(str(exc), line_no) from None
-            except SchemaError as exc:
-                raise SchemaError(f"line {line_no}: {exc}") from None
-    return builder.build()
+            raise EdgeListError(_intra_party(self.schema, *labels, src_party[k]), line_no)
+        self._edges.append((number[slot[head[edge]]], number[slot[head[edge] + 1]], wt[edge]))
+        self._lines += n
+
+    def _number(self, labels: list[str]) -> np.ndarray:
+        """Each label's number, numbering the labels not seen before in order of first appearance."""
+        new = list(itertools.filterfalse(self._ids.__contains__, dict.fromkeys(labels)))
+        self._ids.update(zip(new, itertools.count(len(self._ids))))
+        party = map(self._party_of_char.get, map(operator.itemgetter(0), new), itertools.repeat(-1))
+        self._party = np.concatenate([self._party, np.fromiter(party, dtype=np.int8, count=len(new))])
+        return np.fromiter(map(self._ids.__getitem__, labels), dtype=np.int64, count=len(labels))
+
+    def graph(self) -> TripartiteGraph:
+        """The graph of every block read."""
+        party = self._party
+        index = np.zeros(len(party), dtype=np.int64)  # each number's index within its party
+        names = list(self._ids)
+        labels = []
+        for p in range(N_PARTIES):
+            mine = party == p
+            index[mine] = np.arange(np.count_nonzero(mine))
+            labels.append(list(itertools.compress(names, mine.tolist())))
+        src, dst, wt = (np.concatenate([np.empty(0, dtype=d)] + [e[c] for e in self._edges])
+                        for c, d in enumerate((np.int64, np.int64, np.float64)))
+        src_party, dst_party = party[src], party[dst]
+        # each relation lists its lower party first
+        forward = src_party < dst_party
+        i, j = np.where(forward, index[src], index[dst]), np.where(forward, index[dst], index[src])
+        low, high = np.minimum(src_party, dst_party), np.maximum(src_party, dst_party)
+        return TripartiteGraph(self.schema, tuple(labels),
+                               tuple((i[m], j[m], wt[m]) for a, b in RELATIONS
+                                     for m in [(low == a) & (high == b)]))
 
 
 def index_labels(counts: tuple[int, int, int], schema: Schema = DEFAULT_SCHEMA) -> tuple[list[str], ...]:

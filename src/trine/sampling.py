@@ -62,6 +62,11 @@ class NegativeSampler:
     end, and ``gap_top[e]`` is the last node with mass of a gap that ends at
     row ``e``: the first row of the party's run of cumulative values equal to
     that of row ``e - 1``.
+
+    :meth:`build` finds the buckets as sorted pair codes ``c * n + member``
+    over the ``n`` global rows. They are uint32 while ``n * (n + 1) < 2**32``
+    (up to 65,535 nodes), which halves the build's sort and merge traffic,
+    and int64 past it; the buckets are the same either way.
     """
 
     # No draw branches on this. bench/round.py reads it to count the centres
@@ -226,29 +231,36 @@ def _exclusion_rows(nodes: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarr
 
     ``nodes`` and ``hi`` are a :class:`TypedCorpus`'s nodes and window ends,
     and ``n`` is the node count. Row ``c`` is kept as the sorted codes
-    ``c * n + member``, once each, starting from ``c``'s own code. One window
-    offset ``d`` at a time, up to the farthest that any window reaches,
-    position ``k`` pairs with ``k + d`` when ``hi[k] > k + d``: both orders
-    of each pair's code are sorted, de-duplicated and merged into the codes
-    kept so far, so no more than one offset's pairs are held at once.
+    ``c * n + member``, once each, starting from ``c``'s own code, in the
+    narrowest dtype of :func:`_code_dtype`. One window offset ``d`` at a
+    time, up to the farthest that any window reaches, position ``k`` pairs
+    with ``k + d`` when ``hi[k] > k + d``: both orders of each pair's code
+    are sorted, de-duplicated and merged into the codes kept so far, so no
+    more than one offset's pairs are held at once.
     """
+    dtype = _code_dtype(n)
     own = np.zeros(n, dtype=bool)
-    codes = np.arange(n, dtype=np.int64) * (n + 1)
+    codes = np.arange(n, dtype=dtype) * dtype(n + 1)
     room = hi - np.arange(1, len(hi) + 1, dtype=np.int32)  # positions after k in k's window
     for d in range(1, int(room.max(initial=0)) + 1):
         at = np.flatnonzero(room >= d)  # k + d lies in k's window, and so in the corpus
-        a, b = nodes[at].astype(np.int64), nodes[at + d].astype(np.int64)
+        a, b = nodes[at].astype(dtype), nodes[at + d].astype(dtype)
         own[a[a == b]] = True
-        fresh = np.concatenate([a * n + b, b * n + a])
+        fresh = np.concatenate([a * dtype(n) + b, b * dtype(n) + a])
         del at, a, b
         fresh.sort()
         codes = np.concatenate([codes, _distinct(fresh)])
         del fresh
         codes.sort(kind="stable")  # two sorted runs: one merge
         codes = _distinct(codes)
-    starts = codes.searchsorted(np.arange(n + 1) * n)
-    np.remainder(codes, max(n, 1), out=codes)
+    starts = codes.searchsorted(np.arange(n + 1, dtype=dtype) * dtype(n))
+    np.remainder(codes, dtype(max(n, 1)), out=codes)
     return starts, codes.astype(np.int32), own
+
+
+def _code_dtype(n: int) -> type:
+    """uint32 where every code ``c * n + member`` of ``n`` nodes, and ``n * n``, fit in it; else int64."""
+    return np.uint32 if n * (n + 1) < 2**32 else np.int64
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:

@@ -214,14 +214,21 @@ class EmbeddingStore:
         return EmbeddingStore(self.emb.copy(), self.ctx.copy(), self.labels)
 
     def reindexed_to(self, g: TripartiteGraph) -> "EmbeddingStore":
-        """Rows gathered into the graph's layout, each node's by its party and label."""
+        """Rows gathered into the graph's layout, each node's by its party and label.
+
+        A ``ctx`` whose rows all share one row's memory, as
+        :func:`load_embeddings` makes without a context file, stays so: its
+        gather is that row, broadcast, not a copy.
+        """
         keys = [(p, lab) for p in range(N_PARTIES) for lab in self.labels[p]]
         own = dict(zip(keys, itertools.count()))
         try:
             rows = np.array([own[p, lab] for p in range(N_PARTIES) for lab in g.labels[p]], dtype=np.int64)
         except KeyError as exc:
             raise EmbeddingFileError(f"graph node {exc.args[0][1]!r} has no embedding") from None
-        return EmbeddingStore(self.emb[rows], self.ctx[rows], g.labels)
+        shared = self.ctx.strides[0] == 0
+        ctx = np.broadcast_to(self.ctx[:1], (len(rows), self.dim)) if shared else self.ctx[rows]
+        return EmbeddingStore(self.emb[rows], ctx, g.labels)
 
 
 @dataclass
@@ -423,6 +430,8 @@ class _Occurrences(NamedTuple):
     ``nodes`` is the :class:`TypedCorpus`'s own, ``lo`` and ``hi`` are its
     windows; ``order`` is all positions grouped by node (corpus order within
     a node), and global row ``r``'s group is ``order[start[r]:start[r + 1]]``.
+    ``order`` comes from one sort of the distinct keys ``node * len + position``,
+    which orders the positions as a stable sort by node would, faster.
     """
 
     nodes: np.ndarray
@@ -433,7 +442,10 @@ class _Occurrences(NamedTuple):
 
     @classmethod
     def of(cls, typed: TypedCorpus, g: TripartiteGraph, window: int) -> "_Occurrences":
-        order = np.argsort(typed.nodes, kind="stable").astype(np.int32)
+        positions = len(typed.nodes)
+        keys = typed.nodes.astype(np.int64) * positions + np.arange(positions)
+        keys.sort()
+        order = np.remainder(keys, max(positions, 1), out=keys).astype(np.int32)
         start = np.concatenate([[0], np.cumsum(np.bincount(typed.nodes, minlength=g.num_nodes))])
         return cls(typed.nodes, *typed.windows(window), order, start)
 
@@ -807,7 +819,8 @@ def load_embeddings(path, schema: Schema, context_path=None) -> EmbeddingStore:
     Node party comes from the label's type character. The file may list the
     parties in any order: the rows are stored party by party, each party's in
     file order, so a save/load round trip preserves row order. Without a
-    context file the context vectors are zero.
+    context file the context vectors are zero: one 0.0, broadcast to a
+    read-only array that holds no memory.
     """
     labels, emb = _read_matrix_file(path, schema)
     if context_path is not None:
@@ -818,7 +831,7 @@ def load_embeddings(path, schema: Schema, context_path=None) -> EmbeddingStore:
             raise EmbeddingFileError(f"context file has dim {ctx.shape[1]}, "
                                      f"the embedding file {emb.shape[1]}")
     else:
-        ctx = np.zeros_like(emb)
+        ctx = np.broadcast_to(np.float64(0.0), emb.shape)
     return EmbeddingStore(emb, ctx, labels)
 
 

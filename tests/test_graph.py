@@ -1,15 +1,18 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trine.errors import EdgeListError, SchemaError
+from trine import graph
+from trine.cli import main as run_cli
+from trine.errors import EdgeListError, SchemaError, TrineError
 from trine.graph import (RELATIONS, GraphBuilder, Metapath, Node, Schema, TripartiteGraph,
                          build_from_pairs, load_edge_list)
 
-from conftest import assert_blocks_list_the_edges, random_tripartite
+from conftest import assert_blocks_list_the_edges, random_tripartite, reference_load_edge_list, run_bounded
 from test_degenerate import tiny_graphs
 
 
@@ -323,3 +326,128 @@ class TestGlobalLayout:
             assert np.array_equal(rows.dst[mine] - g.offsets[b], g.edge_dst[r])
             assert rows.wt[mine].tobytes() == g.edge_wt[r].tobytes()
         assert np.all(np.diff(rows.relation) >= 0)  # relation-major
+
+
+def _outcome(load, path):
+    """What ``load`` makes of a file: the labels and edge arrays, or the error's type and message."""
+    try:
+        g = load(path)
+    except TrineError as exc:
+        return type(exc), str(exc)
+    return g.labels, [(g.edge_src[r].tobytes(), g.edge_dst[r].tobytes(), g.edge_wt[r].tobytes())
+                      for r in range(len(RELATIONS))]
+
+
+_blanks = st.sampled_from([" ", "\t", "  ", " \t "])
+_indent = st.sampled_from(["", "", " ", "\t"])
+
+
+def _labels(parties="upc", most=3):
+    return st.builds("{}{}".format, st.sampled_from(parties), st.integers(0, most))
+
+
+@st.composite
+def _edge_list_lines(draw, clean):
+    """One line without its ending: a comment, a blank, a node, an edge and, unless ``clean``, a fault."""
+    kinds = ["comment", "blank", "node", "edge", "weighted"] + ([] if clean else ["wide"])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t", "  \t"]))
+    lead, sep, trail = draw(_indent), draw(_blanks), draw(st.sampled_from(["", " ", "\t"]))
+    if kind == "comment":
+        return lead + "#" + draw(st.sampled_from(["", " a comment", "#", " u0 p0 1"]))
+    labels = _labels("upc" if clean else "upcx")
+    if kind == "node":
+        return lead + draw(labels) + trail
+    if clean:
+        # two labels of different parties, in either order
+        a, b = draw(st.permutations("upc"))[:2]
+        fields = [f"{a}{draw(st.integers(0, 3))}", f"{b}{draw(st.integers(0, 3))}"]
+    else:
+        fields = [draw(labels), draw(labels)]
+    weights = ["2", "2.50", "1e-3", "+1", "1", "0.5", "1e308"]
+    if not clean:
+        weights += ["0", "-1", "-0", "inf", "-inf", "nan", "1e999", "abc", "1_0", "#"]
+    if kind in ("weighted", "wide"):
+        fields.append(draw(st.sampled_from(weights)))
+    if kind == "wide":
+        fields += draw(st.lists(st.sampled_from(["1", "x", "#"]), min_size=1, max_size=2))
+    return lead + sep.join(fields) + trail
+
+
+@st.composite
+def _edge_list_files(draw):
+    """The text of an edge-list file, each line ending in \\n, \\r\\n or \\r, the last line maybe in none."""
+    lines = draw(st.lists(_edge_list_lines(clean=draw(st.booleans())), max_size=30))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestBlockLoader:
+    """The bulk parse against the per-line reference: labels, edges and the first fault's error."""
+
+    @given(_edge_list_files(), st.sampled_from([1, 2, 3, 5, graph._LOAD_BLOCK]))
+    @example("u0 p0 1\nu1 c0\n", 1)
+    @example("u0 p0 1\nx0 p0\n", 1)  # a fault on the first line of the second block
+    @example("# only\n\n\t\n", 2)  # blocks without a label
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_line_by_line_reference(self, tmp_path_factory, text, block):
+        path = tmp_path_factory.mktemp("edges") / "edges.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(graph, "_LOAD_BLOCK", block):
+            assert _outcome(load_edge_list, path) == _outcome(reference_load_edge_list, path)
+
+    @pytest.mark.parametrize("fault", ["u1 p0 1 2", "u1 p0 abc", "u1 p0 -1", "u1 p0 nan", "x1 p0",
+                                       "u1 x0 2", "u1 u2", "x9"])
+    def test_fault_on_the_first_line_of_the_second_block(self, tmp_path, fault):
+        n = graph._LOAD_BLOCK
+        lines = ["# header"] + [f"u{i % 7} {'pc'[i % 2]}{i % 11} {1 + i % 3}" for i in range(n - 1)]
+        path = tmp_path / "edges.txt"
+        path.write_text("\n".join(lines + [fault, "u0 p0", "x0 x0 x0 x0"]) + "\n")
+        expected = _outcome(reference_load_edge_list, path)
+        assert expected[1].startswith(f"line {n + 1}: ")
+        assert _outcome(load_edge_list, path) == expected
+
+    def test_longer_than_one_block(self, tmp_path):
+        n = 2 * graph._LOAD_BLOCK + 100
+        path = tmp_path / "edges.txt"
+        path.write_text("".join(f"{'upc'[i % 3]}{i % 97} {'pcu'[i % 3]}{i % 89}\r\n" for i in range(n))
+                        + "u500\n")
+        expected = _outcome(reference_load_edge_list, path)
+        assert _outcome(load_edge_list, path) == expected
+        assert "u500" in expected[0][0]
+
+    def test_adjacency_built_on_first_use(self, write_edges):
+        g = load_edge_list(write_edges("u0 p1 2", "p1 c0", "u1 c0 0.5", "c1"))
+        assert "adj" not in vars(g)
+        assert_blocks_list_the_edges(g)
+        assert "adj" in vars(g)
+
+
+# Loads the edge list argv[2] with the bulk loader, or with the per-line
+# reference if argv[1] is "reference"; both import the same modules.
+_LOAD_IN_CHILD = """
+import sys
+from conftest import reference_load_edge_list
+from trine.graph import load_edge_list
+
+load = reference_load_edge_list if sys.argv[1] == "reference" else load_edge_list
+print(load(sys.argv[2]).num_edges)
+"""
+
+
+class TestLoaderMemory:
+    # The loader's peak resident set (VmHWM) at the VisualizeUs node counts
+    # was 54 MB, the reference's 57 MB, and a whole-file bulk parse's 70 MB.
+    MARGIN_KB = 4 * 1024
+
+    def test_peak_at_paper_counts_within_the_reference_loop(self, tmp_path):
+        edges = tmp_path / "paper.txt"
+        assert run_cli(["synth", "--users", "3911", "--tags", "21076", "--items", "5013", "--p-in", "0.0005",
+                        "--p-out", "0.0001", "--out", str(edges), "--quiet"]) == 0
+        (n_ref,), reference_kb = run_bounded(_LOAD_IN_CHILD, "reference", str(edges))
+        (n,), peak_kb = run_bounded(_LOAD_IN_CHILD, "bulk", str(edges))
+        assert n == n_ref == "48501"
+        assert peak_kb < reference_kb + self.MARGIN_KB, (peak_kb, reference_kb)

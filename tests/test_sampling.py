@@ -7,7 +7,7 @@ from trine.errors import SamplerError
 from trine import sampling
 from trine.graph import Node, build_from_pairs
 from trine.sampling import NegativeSampler
-from trine.walks import window_pairs
+from trine.walks import TypedCorpus, window_pairs
 
 from conftest import typed_from_sequences
 
@@ -463,3 +463,33 @@ class TestOneCentreInversion:
         expected = [sampler.sample(Node(0, c), 5, ref_rng) for c in centers.tolist()]
         assert draw(sampler, centers, 5, real).tolist() == expected
         assert real.random() == ref_rng.random()
+
+
+def reference_exclusion_rows(nodes, hi, n):
+    """``_exclusion_rows`` from every window pair's int64 codes at once."""
+    pairs = [(int(nodes[k]), int(nodes[m])) for k in range(len(nodes)) for m in range(k + 1, hi[k])]
+    codes = np.concatenate([np.arange(n, dtype=np.int64) * (n + 1),
+                            np.array([a * n + b for a, b in pairs] + [b * n + a for a, b in pairs],
+                                     dtype=np.int64)])
+    codes = np.unique(codes)
+    own = np.zeros(n, dtype=bool)
+    own[[a for a, b in pairs if a == b]] = True
+    return codes.searchsorted(np.arange(n + 1, dtype=np.int64) * n), codes % n, own
+
+
+class TestCodeWidths:
+    """The exclusion rows in uint32 codes up to the widest node count they fit, and in int64 past it."""
+
+    @pytest.mark.parametrize("n,dtype", [(65_535, np.uint32), (65_536, np.int64)])
+    def test_same_rows_as_int64_codes(self, n, dtype):
+        assert sampling._code_dtype(n) is dtype
+        # nodes at both ends of the range, some next to themselves in a window
+        seqs = [[n - 1, n - 2, 0, n - 1, n - 1, 5], [n - 2, 3, n - 1], [7]]
+        nodes = np.array([i for s in seqs for i in s], dtype=np.int32)
+        typed = TypedCorpus(nodes, np.cumsum([0] + [len(s) for s in seqs], dtype=np.int64))
+        hi = typed.windows(2)[1]
+        got = sampling._exclusion_rows(nodes, hi, n)
+        expected = reference_exclusion_rows(nodes, hi, n)
+        for a, b in zip(got, expected):
+            assert a.tolist() == b.tolist()
+        assert got[1].dtype == np.int32

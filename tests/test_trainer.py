@@ -25,7 +25,7 @@ from trine.trainer import (EmbeddingStore, TrainConfig, _BATCH_EDGES, _INIT_STRE
                            compute_loss, default_metapaths,
                            explicit_update, implicit_update, init_embeddings,
                            load_embeddings, save_embeddings, sigmoid, train)
-from trine.walks import filter_by_type, generate_corpus, window_pairs
+from trine.walks import TypedCorpus, filter_by_type, generate_corpus, window_pairs
 
 from conftest import child_pids, party_corpus, random_tripartite, run_bounded, typed_from_sequences
 from test_sampling import brute_force_pairs
@@ -610,6 +610,19 @@ def assert_chunk_matches_reference(counts, seqs, end_party, end_index, window, n
             assert a.shape == b.shape and a.tolist() == b.tolist()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     return expected
+
+
+class TestOccurrences:
+    @given(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=8), max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_order_is_a_stable_sort_by_node(self, seqs):
+        g = build_from_pairs((4, 3, 3), [(0, 0, 0, 1.0)])
+        nodes = np.array([i for s in seqs for i in s], dtype=np.int32)
+        typed = TypedCorpus(nodes, np.cumsum([0] + [len(s) for s in seqs], dtype=np.int64))
+        occ = trainer._Occurrences.of(typed, g, 2)
+        assert occ.order.dtype == np.int32
+        assert occ.order.tolist() == np.argsort(nodes, kind="stable").tolist()
+        assert occ.start.tolist() == np.concatenate([[0], np.cumsum(np.bincount(nodes, minlength=10))]).tolist()
 
 
 class TestImplicitPairs:
@@ -1227,6 +1240,23 @@ class TestPersistence:
         assert store.ctx.shape == (3, 2) and not store.ctx.any()
         empty = build_from_pairs((0, 0, 0), [])
         assert load_embeddings(path, DEFAULT_SCHEMA).reindexed_to(empty).emb.shape == (0, 2)
+
+    def test_reindex_without_a_context_file_copies_no_context(self, tmp_path):
+        # a wide dim makes the two gathered blocks the largest allocations
+        n, dim = 300, 256
+        g = build_from_pairs((n, 1, 0), [(0, i, 0, 1.0) for i in range(n)])
+        path = tmp_path / "emb.txt"
+        save_embeddings(init_embeddings(g, TrainConfig(dim=dim), np.random.default_rng(5)), path)
+        loaded = load_embeddings(path, DEFAULT_SCHEMA)
+        tracemalloc.start()
+        try:
+            store = loaded.reindexed_to(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        emb_bytes = g.num_nodes * dim * 8
+        assert peak < 1.5 * emb_bytes, (peak, emb_bytes)
+        assert store.ctx.shape == store.emb.shape and not store.ctx.any()
 
     def test_reindex_missing_label(self, tmp_path):
         g = build_from_pairs((1, 1, 0), [(0, 0, 0, 1.0)])
