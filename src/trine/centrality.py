@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .graph import Node, TripartiteGraph
+from .graph import TripartiteGraph
 
 log = logging.getLogger(__name__)
 
@@ -22,17 +22,13 @@ class CentralityScores:
     """L2-normalized hub and authority scores over all nodes.
 
     Scores are stored as one global vector each, in the graph's global
-    layout: ``offsets[p]`` is the first global index of party ``p``.
+    rows: node ``i`` of party ``p`` is entry ``g.offsets[p] + i``.
     The walk budget uses the authority score (on a symmetric adjacency the
     two coincide at the fixed point).
     """
 
     hub: np.ndarray
     authority: np.ndarray
-    offsets: np.ndarray
-
-    def of(self, node: Node) -> float:
-        return float(self.authority[self.offsets[node.party] + node.index])
 
 
 def hits(g: TripartiteGraph, max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_TOL) -> CentralityScores:
@@ -52,7 +48,7 @@ def hits(g: TripartiteGraph, max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFA
     if n == 0 or len(wt) == 0:
         log.warning("HITS on a graph with no edges: all scores are zero")
         zeros = np.zeros(n)
-        return CentralityScores(zeros, zeros.copy(), g.offsets)
+        return CentralityScores(zeros, zeros.copy())
 
     def matvec(x):
         y = np.zeros(n)
@@ -77,7 +73,7 @@ def hits(g: TripartiteGraph, max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFA
         auth, hub = new_auth, new_hub
         if delta < tol:
             break
-    return CentralityScores(hub, auth, g.offsets)
+    return CentralityScores(hub, auth)
 
 
 def walk_budget(score, min_walks: int, max_walks: int, scale: float):

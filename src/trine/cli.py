@@ -23,7 +23,7 @@ import numpy as np
 
 from . import centrality, evaluation, synth
 from .centrality import hits
-from .errors import ConfigError, TrineError
+from .errors import ConfigError, SchemaError, TrineError
 from .evaluation import evaluate, evaluate_end_to_end
 from .graph import DEFAULT_SCHEMA, RELATION_NAMES, Schema, TripartiteGraph, load_edge_list
 from .trainer import TrainConfig, default_metapaths, load_embeddings, save_embeddings, train
@@ -247,6 +247,9 @@ def parse_config(argv: list[str]) -> tuple[str, RunConfig, dict]:
     cfg = RunConfig(**values)
     if cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
+    if "metapath" not in values:
+        # the default metapaths, spelt in the run's type characters
+        cfg.metapath = tuple(m.describe(_schema(cfg)) for m in default_metapaths())
     return ns.subcommand, cfg, {"save_config": ns.save_config, "quiet": ns.quiet}
 
 
@@ -254,7 +257,10 @@ def _schema(cfg: RunConfig) -> Schema:
     chars = cfg.type_chars
     if len(chars) != 3:
         raise ConfigError(f"--type-chars needs exactly three characters, got {chars!r}")
-    return Schema(type_chars=tuple(chars))
+    try:
+        return Schema(type_chars=tuple(chars))
+    except SchemaError as exc:
+        raise ConfigError(f"--type-chars: {exc}") from None
 
 
 def _train_config(cfg: RunConfig) -> TrainConfig:

@@ -1,4 +1,4 @@
-"""Weighted tripartite graph: loading and neighbor queries.
+"""Weighted tripartite graph: its global layout, its adjacency and the edge-list loader.
 
 Nodes belong to one of three parties (0, 1, 2). Edges only connect nodes
 of different parties and are undirected. The three cross-party relations
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -85,6 +84,9 @@ class Schema:
         for ch in self.type_chars:
             if len(ch) != 1:
                 raise SchemaError(f"type character must be a single char, got {ch!r}")
+            # the edge-list loader reads '#' as a comment and whitespace as a field separator
+            if ch == "#" or ch.isspace():
+                raise SchemaError(f"type character cannot be '#' or whitespace, got {ch!r}")
 
     def party_of_label(self, label: str) -> int:
         if not label:
@@ -252,37 +254,6 @@ class TripartiteGraph:
     def num_edges(self) -> int:
         return sum(len(w) for w in self.edge_wt)
 
-    def label_of(self, node: Node) -> str:
-        return self.labels[node.party][node.index]
-
-    @functools.cached_property
-    def _index_of(self) -> dict[str, Node]:
-        return {lab: Node(p, i) for p in range(N_PARTIES) for i, lab in enumerate(self.labels[p])}
-
-    def node_of(self, label: str) -> Node:
-        try:
-            return self._index_of[label]
-        except KeyError:
-            raise KeyError(f"unknown node label {label!r}") from None
-
-    def has_node(self, node: Node) -> bool:
-        return 0 <= node.party < N_PARTIES and 0 <= node.index < self.counts[node.party]
-
-    def neighbor_arrays(self, party: int, index: int, target: int) -> tuple[np.ndarray, np.ndarray]:
-        """``target``-party neighbor indices and weights (may be empty); ValueError off the graph."""
-        if not self.has_node(Node(party, index)):
-            raise ValueError(f"node {Node(party, index)} not in graph (counts {self.counts})")
-        if target == party:
-            raise ValueError(f"invalid query: target party {target} equals the node's own party")
-        row = self.adj.base[party, target] + index
-        lo, hi = self.adj.indptr[row], self.adj.indptr[row + 1]
-        return self.adj.nbrs[lo:hi], self.adj.wts[lo:hi]
-
-    def neighbors(self, node: Node, target: int) -> list[tuple[Node, float]]:
-        """The ``target``-party neighbors of ``node`` and edge weights, from :meth:`neighbor_arrays`."""
-        idx, wt = self.neighbor_arrays(node.party, node.index, target)
-        return [(Node(target, int(j)), float(w)) for j, w in zip(idx, wt)]
-
     # -- derived graphs ----------------------------------------------------------
 
     def without_edges(self, relation: int, pairs: Iterable[tuple[int, int]]) -> "TripartiteGraph":
@@ -299,50 +270,6 @@ class TripartiteGraph:
         keep = ~np.isin(src * n_b + dst, removed[:, 0] * n_b + removed[:, 1])
         edges[relation] = (src[keep], dst[keep], wt[keep])
         return TripartiteGraph(self.schema, self.labels, tuple(edges))
-
-
-class GraphBuilder:
-    """Accumulates labeled edges, then produces a :class:`TripartiteGraph`.
-
-    Duplicate edges have their weights summed. Node indices are assigned
-    densely per party in order of first appearance.
-    """
-
-    def __init__(self, schema: Schema = DEFAULT_SCHEMA):
-        self.schema = schema
-        self._labels: tuple[list[str], ...] = ([], [], [])
-        self._index: dict[str, Node] = {}
-        self._edges: tuple[list[tuple[int, int, float]], ...] = ([], [], [])
-
-    def _intern(self, label: str) -> Node:
-        node = self._index.get(label)
-        if node is None:
-            party = self.schema.party_of_label(label)
-            node = Node(party, len(self._labels[party]))
-            self._labels[party].append(label)
-            self._index[label] = node
-        return node
-
-    def add_node(self, label: str) -> None:
-        """Declare a node that may have no edges (keeps isolated nodes loadable)."""
-        self._intern(label)
-
-    def add_edge(self, src_label: str, dst_label: str, weight: float = 1.0) -> None:
-        """Raises :class:`EdgeListError` on a weight that is not finite and positive."""
-        if not 0 < weight < math.inf:  # NaN fails 0 < weight
-            raise EdgeListError(_bad_weight(f"({src_label}, {dst_label})", weight))
-        u = self._intern(src_label)
-        v = self._intern(dst_label)
-        if u.party == v.party:
-            raise EdgeListError(_intra_party(self.schema, src_label, dst_label, u.party))
-        r = RELATION_OF_PAIR[(u.party, v.party)]
-        a, _ = RELATIONS[r]
-        i, j = (u.index, v.index) if u.party == a else (v.index, u.index)
-        self._edges[r].append((i, j, weight))
-
-    def build(self) -> TripartiteGraph:
-        return TripartiteGraph(self.schema, tuple(list(ls) for ls in self._labels),
-                               tuple(tuple(zip(*rows)) or ((), (), ()) for rows in self._edges))
 
 
 def _bad_weight(edge: str, weight: float) -> str:
@@ -485,19 +412,3 @@ def index_labels(counts: tuple[int, int, int], schema: Schema = DEFAULT_SCHEMA) 
     """Labels made of the type character and the per-party index, e.g. ``u0``."""
     return tuple([f"{schema.type_chars[p]}{i}" for i in range(counts[p])] for p in range(N_PARTIES))
 
-
-def build_from_pairs(counts: tuple[int, int, int],
-                     edges: Iterable[tuple[int, int, int, float]],
-                     schema: Schema = DEFAULT_SCHEMA) -> TripartiteGraph:
-    """Construct a graph from index-level edges ``(relation, i, j, weight)``.
-
-    Labels come from :func:`index_labels`; mainly for tests and synthetic
-    benchmarks.
-    """
-    columns = list(zip(*edges)) or [(), (), (), ()]
-    rel, src, dst = (np.array(c, dtype=np.int64) for c in columns[:3])
-    wt = np.array(columns[3], dtype=np.float64)
-    if np.any((rel < 0) | (rel >= len(RELATIONS))):
-        raise ValueError(f"relation index outside 0..{len(RELATIONS) - 1}: {sorted(set(rel.tolist()))}")
-    return TripartiteGraph(schema, index_labels(counts, schema),
-                           tuple((src[rel == r], dst[rel == r], wt[rel == r]) for r in range(len(RELATIONS))))

@@ -72,12 +72,6 @@ def planted_graph(counts: tuple[int, int, int], communities: int, p_in: float, p
     return TripartiteGraph(schema, index_labels(counts, schema), tuple(edges))
 
 
-def random_graph(counts: tuple[int, int, int], density: float, seed: int,
-                 schema: Schema = DEFAULT_SCHEMA) -> TripartiteGraph:
-    """Structureless tripartite graph: every cross-party pair iid with `density`."""
-    return planted_graph(counts, 1, density, density, seed, activity_spread=1.0, schema=schema)
-
-
 def write_edge_list(g: TripartiteGraph, path) -> None:
     """Write the graph in the loader's edge-list format.
 

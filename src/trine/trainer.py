@@ -210,9 +210,6 @@ class EmbeddingStore:
         """Each party's first row, and the row count last."""
         return np.concatenate([[0], np.cumsum([len(ls) for ls in self.labels])]).astype(np.int64)
 
-    def copy(self) -> "EmbeddingStore":
-        return EmbeddingStore(self.emb.copy(), self.ctx.copy(), self.labels)
-
     def reindexed_to(self, g: TripartiteGraph) -> "EmbeddingStore":
         """Rows gathered into the graph's layout, each node's by its party and label.
 
@@ -744,9 +741,9 @@ def train(g: TripartiteGraph, metapaths: list[Metapath], cfg: TrainConfig,
     del corpus  # training reads only the typed corpus
     sampler = NegativeSampler.build(typed, g, cfg.power, cfg.window)
     occurrences = _Occurrences.of(typed, g, cfg.window)
-    # the most window partners of one occurrence
-    partners = min(2 * cfg.window, int(np.diff(typed.bounds).max(initial=1)) - 1)
     del typed  # the occurrences keep its nodes; its sequence bounds go
+    # the most window partners of one occurrence: its widest window, less itself
+    partners = int((occurrences.hi - occurrences.lo).max(initial=1)) - 1
 
     store = init_embeddings(g, cfg, np.random.default_rng([cfg.seed, _INIT_STREAM]))
     emb, ctx = store.emb, store.ctx

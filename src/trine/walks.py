@@ -122,36 +122,6 @@ def window_pairs(lo: np.ndarray, hi: np.ndarray, ranks: np.ndarray | None = None
     return center, context
 
 
-def metapath_walk(g: TripartiteGraph, start: Node, path: Metapath, length: int,
-                  rng: np.random.Generator) -> list[Node]:
-    """One truncated random walk following the metapath's type pattern.
-
-    At each step the next node is drawn uniformly from the current node's
-    neighbors of the type the metapath prescribes next; the walk stops
-    early when no such neighbor exists.
-    """
-    if not g.has_node(start):
-        raise ValueError(f"start node {start} not in graph")
-    if start.party != path.start:
-        raise ValueError(
-            f"start node party {start.party} does not match metapath start type {path.start}"
-        )
-    if length < 1:
-        raise ValueError(f"walk length must be >= 1, got {length}")
-    walk = [start]
-    cur = start
-    for step in range(1, length):
-        nxt_type = path.type_at(step)
-        if nxt_type == cur.party:
-            break
-        idx, _ = g.neighbor_arrays(cur.party, cur.index, nxt_type)
-        if len(idx) == 0:
-            break
-        cur = Node(nxt_type, int(idx[rng.integers(len(idx))]))
-        walk.append(cur)
-    return walk
-
-
 def _type_table(metapaths: list[Metapath], width: int) -> np.ndarray:
     """``types[m, step]``: metapath ``m``'s party at walk position ``step``."""
     return np.array([[path.type_at(step) for step in range(width)] for path in metapaths],

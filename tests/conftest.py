@@ -10,10 +10,10 @@ import threading
 import numpy as np
 import pytest
 
-from trine.errors import EdgeListError, SchemaError
-from trine.graph import (DEFAULT_SCHEMA, N_PARTIES, RELATION_OF_PAIR, RELATIONS, GraphBuilder,
-                         build_from_pairs)
+from trine.graph import N_PARTIES, RELATION_OF_PAIR, RELATIONS
 from trine.walks import TypedCorpus, WalkCorpus, _type_table
+
+from reference import build_from_pairs, graph_of_lines, neighbors
 
 
 # Appended to a bounded child's script: its own peak resident set, in kB.
@@ -96,11 +96,7 @@ def schema_graph():
     One-step page neighbors of u1 are {p1, p3}; the union of two-step
     neighbors of u1 over schema-valid continuations is {u2, u3, c1, c3}.
     """
-    b = GraphBuilder()
-    for src, dst in [("u1", "p1"), ("u1", "p3"), ("u2", "p1"), ("u3", "p3"),
-                     ("p1", "c1"), ("p3", "c3"), ("u2", "p2"), ("p2", "c2")]:
-        b.add_edge(src, dst)
-    return b.build()
+    return graph_of_lines(["u1 p1", "u1 p3", "u2 p1", "u3 p3", "p1 c1", "p3 c3", "u2 p2", "p2 c2"])
 
 
 @pytest.fixture
@@ -133,46 +129,11 @@ def assert_blocks_list_the_edges(g):
         for i in range(g.counts[a]):
             # stored edges are sorted by (i, j), so either side's partners come in index order
             at = mine == i
-            idx, wt = g.neighbor_arrays(a, i, b)
+            idx, wt = neighbors(g, a, i, b)
             assert idx.tolist() == theirs[at].tolist()
             assert np.all(np.diff(idx) > 0)
             assert wt.tobytes() == g.edge_wt[r][at].tobytes()
-            row = g.adj.base[a, b] + i
-            lo, hi = g.adj.indptr[row], g.adj.indptr[row + 1]
-            assert g.adj.nbrs[lo:hi].tolist() == idx.tolist()
     assert g.adj.indptr[-1] == len(g.adj.nbrs) == len(g.adj.wts) == 2 * g.num_edges
-
-
-def reference_load_edge_list(path, schema=DEFAULT_SCHEMA):
-    """``load_edge_list`` one line at a time, through a :class:`GraphBuilder`: the reference of its bulk parse."""
-    builder = GraphBuilder(schema)
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) == 1:
-                try:
-                    builder.add_node(parts[0])
-                except SchemaError as exc:
-                    raise SchemaError(f"line {line_no}: {exc}") from None
-                continue
-            if len(parts) not in (2, 3):
-                raise EdgeListError(f"expected 'src dst [weight]', got {line!r}", line_no)
-            weight = 1.0
-            if len(parts) == 3:
-                try:
-                    weight = float(parts[2])
-                except ValueError:
-                    raise EdgeListError(f"bad weight {parts[2]!r}", line_no) from None
-            try:
-                builder.add_edge(parts[0], parts[1], weight)
-            except EdgeListError as exc:
-                raise EdgeListError(str(exc), line_no) from None
-            except SchemaError as exc:
-                raise SchemaError(f"line {line_no}: {exc}") from None
-    return builder.build()
 
 
 def walk_corpus(walks, metapath_ids, metapaths, offsets) -> WalkCorpus:

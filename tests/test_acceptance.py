@@ -14,13 +14,13 @@ import pytest
 from trine.cli import main as cli_main
 from trine.centrality import hits
 from trine.evaluation import auc_roc, evaluate_end_to_end
-from trine.graph import Edge, Metapath, Node, build_from_pairs, load_edge_list
+from trine.graph import Edge, Metapath, Node, load_edge_list
 from trine.synth import planted_graph
 from trine.trainer import (TrainConfig, default_metapaths, explicit_update,
                            implicit_update, sigmoid, train)
-from trine.walks import metapath_walk
 
 from conftest import random_tripartite
+from reference import build_from_pairs, metapath_walk
 from test_centrality import dense_hits_oracle
 from test_evaluation import auc_pair_counting_oracle
 from test_trainer import central_diff, make_store, rel_err

@@ -5,7 +5,8 @@ per-type split, the sampler build, the loss, the embedding files and the
 link features). A change that breaks one of them fails every benchmark run,
 so this runs the benchmark's own layer probe and fold scoring on the
 acceptance graph, in a child that imports the bench directory without
-writing into it.
+writing into it. ``bench/plant.py`` takes the user activities of
+``trine.synth``, so the child also draws them through it.
 """
 
 import json
@@ -16,12 +17,13 @@ from conftest import run_bounded
 # Argv: the bench directory and a scratch directory. Prints the probe's checks
 # and counts, then fold 0's held-out edge count and its AUC-ROC from the
 # trained store and from that store after an embedding-file round trip (the
-# cli probe's path), as one JSON line.
+# cli probe's path), and the mean of plant.py's user activities, as one JSON line.
 _LAYER_PROBE = """
 import json, sys
 sys.dont_write_bytecode = True  # leave the bench directory as it is
 sys.path.append(sys.argv[1])
 from pathlib import Path
+import plant
 import round as bench_round
 from workloads import ACCEPT, CLI_FOLDS, RELATION
 from trine.graph import RELATION_NAMES
@@ -43,7 +45,8 @@ save_embeddings(store, path, str(path) + ".ctx")
 loaded = load_embeddings(path, g.schema, str(path) + ".ctx").reindexed_to(g)
 rocs = [bench_round._fold_scores(s, relation, ds, test, sp)[1] for s in (store, loaded)]
 print(json.dumps({"checks": checks, "counts": counts, "held_out": len(held_out),
-                  "removed": g.num_edges - g_fold.num_edges, "auc_roc": rocs}))
+                  "removed": g.num_edges - g_fold.num_edges, "auc_roc": rocs,
+                  "activity_mean": float(plant.activities(0, 10).mean())}))
 """
 
 
@@ -60,3 +63,4 @@ def test_layer_probe_on_the_acceptance_graph(tmp_path):
     assert 0.5 < trained < 1.0
     # the file keeps 9 significant digits
     assert abs(trained - reloaded) <= 1e-6
+    assert abs(out["activity_mean"] - 1.0) < 1e-12

@@ -84,6 +84,10 @@ BAD_OPTIONS = [
     ("synth", ["--activity-spread", "0.5"], 2),
     ("synth", ["--users", "-3"], 2),
     ("walks", ["--walk-length", "0"], 2),
+    # the loader reads '#' as a comment and whitespace as a field separator
+    ("walks", ["--type-chars", "#pc"], 2),
+    ("train", ["--type-chars", "u\tc"], 2),
+    ("synth", ["--type-chars", "up "], 2),
     *((command, ["--seed", "-1"], 2) for command in ("synth", "walks", "train", "evaluate", "e2e")),
 ]
 
@@ -127,6 +131,15 @@ class TestParseConfig:
         conf.write_text(dump_config(cfg))
         reparsed = RunConfig(**read_config_file(conf))
         assert reparsed == cfg
+
+    def test_default_metapaths_follow_type_chars(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("type_chars = xyz\n")
+        for argv in (["walks", "--type-chars", "xyz"], ["e2e", "--config", str(conf)]):
+            _, cfg, _ = parse_config(argv)
+            assert cfg.metapath == ("xyzyx", "zyxyz")
+        _, cfg, _ = parse_config(["train", "--type-chars", "xyz", "--metapath", "upcpu"])
+        assert cfg.metapath == ("upcpu",)
 
     def test_metapath_repeatable_flag(self):
         _, cfg, _ = parse_config(["walks", "--metapath", "upu", "--metapath", "cpc"])
@@ -255,7 +268,7 @@ class TestSubcommands:
         g = load_edge_list(six_node_edges)
         for line in out.read_text().splitlines():
             labels = line.split()
-            assert all(g.node_of(lab) for lab in labels)
+            assert set(labels) <= {lab for party in g.labels for lab in party}
         run2 = tmp_path / "walks2.txt"
         run_cli("walks", "--edges", str(six_node_edges), "--out", str(run2),
                 "--walk-length", "5", "--max-walks", "2", "--seed", "2", "--quiet")
@@ -401,6 +414,22 @@ class TestSubcommands:
     def test_bad_type_chars(self, six_node_edges, capsys):
         code = run_cli("hits", "--edges", str(six_node_edges), "--type-chars", "up", "--quiet")
         assert code == 2
+
+    def test_default_metapaths_in_other_type_chars(self, six_node_edges, tmp_path):
+        # the same graph under type characters x, y, z walks as under u, p, c
+        xyz = tmp_path / "xyz.txt"
+        xyz.write_text(six_node_edges.read_text().translate(str.maketrans("upc", "xyz")))
+        flags = ["--walk-length", "5", "--max-walks", "2", "--seed", "2", "--quiet"]
+        assert run_cli("walks", "--edges", str(six_node_edges), "--out", str(tmp_path / "upc.walks"),
+                       *flags) == 0
+        assert run_cli("walks", "--edges", str(xyz), "--type-chars", "xyz",
+                       "--out", str(tmp_path / "xyz.walks"), "--save-config", str(tmp_path / "eff.conf"),
+                       *flags) == 0
+        walked = (tmp_path / "upc.walks").read_text()
+        assert walked and (tmp_path / "xyz.walks").read_text() == walked.translate(str.maketrans("upc", "xyz"))
+        assert "metapath = xyzyx,zyxyz\n" in (tmp_path / "eff.conf").read_text()
+        assert run_cli("walks", "--edges", str(xyz), "--type-chars", "xyz", "--metapath", "upcpu",
+                       "--out", str(tmp_path / "bad.walks"), "--quiet") == 1
 
 
 class TestBadOptionValues:

@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 
 from trine.cli import main as cli_main
 from trine.errors import TrineError
-from trine.graph import RELATION_NAMES, RELATIONS, Metapath, build_from_pairs
+from trine.graph import RELATION_NAMES, RELATIONS, Metapath
 from trine.synth import write_edge_list
 from trine.trainer import TrainConfig, _BATCH_EDGES, default_metapaths, train
+
+from reference import build_from_pairs
 
 # metapath sets by name: the defaults, and two that leave a party unvisited
 METAPATHS = {"default": default_metapaths(), "upu": [Metapath((0, 1, 0))],

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from trine.errors import EvalError
 from trine.evaluation import (EvalReport, auc_pr, auc_roc, evaluate, evaluate_end_to_end,
                               f1_score, kfold_split, make_link_dataset, train_classifier)
-from trine.graph import RELATIONS, build_from_pairs
-from trine.synth import planted_graph, random_graph
+from trine.graph import RELATIONS
+from trine.synth import planted_graph
 from trine.trainer import TrainConfig, default_metapaths, init_embeddings
 
 from conftest import random_tripartite
+from reference import build_from_pairs
 
 
 def auc_pair_counting_oracle(scores, labels):
@@ -387,7 +388,7 @@ class TestF1:
 class TestEvaluate:
     def test_random_embeddings_on_random_graph_near_half(self):
         # null-model check: no structure, no information in the features
-        g = random_graph((40, 25, 20), density=0.2, seed=31)
+        g = planted_graph((40, 25, 20), 1, 0.2, 0.2, seed=31, activity_spread=1.0)
         cfg = TrainConfig(dim=8)
         store = init_embeddings(g, cfg, np.random.default_rng(7))
         report = evaluate(store, g, relation=2, folds=5, seed=11)

@@ -16,7 +16,7 @@ import numpy as np
 
 from trine.evaluation import _DATASET_STREAM, _SPLIT_STREAM, kfold_split, make_link_dataset
 from trine.graph import RELATIONS, load_edge_list
-from trine.synth import planted_graph, random_graph, write_edge_list
+from trine.synth import planted_graph, write_edge_list
 
 EXPECTED_DIGEST = "de2732a3c82d6c27c62b92dd68930e91b9835f56c54c8e984a86a80dc0f12a22"
 
@@ -54,7 +54,7 @@ def graph_digest(tmp_path, seed: int = 1) -> tuple[str, bool, bool]:
 
     sparse = make_link_dataset(g, 2, 1.0, np.random.default_rng([seed, _DATASET_STREAM]))
     _pairs(h, sparse)
-    dense_graph = random_graph((40, 6, 5), 0.4, seed=seed)
+    dense_graph = planted_graph((40, 6, 5), 1, 0.4, 0.4, seed, activity_spread=1.0)
     dense = make_link_dataset(dense_graph, 0, 1.0, np.random.default_rng([seed, _DATASET_STREAM]))
     _pairs(h, dense)
 

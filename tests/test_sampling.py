@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from trine.errors import SamplerError
 from trine import sampling
-from trine.graph import Node, build_from_pairs
+from trine.graph import Node
 from trine.sampling import NegativeSampler
 from trine.walks import TypedCorpus, window_pairs
 
 from conftest import typed_from_sequences
+from reference import build_from_pairs
 
 
 def brute_force_pairs(seq, window):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from trine.errors import ConfigError, EmbeddingFileError, NonFiniteError
 from trine.centrality import hits
-from trine.graph import DEFAULT_SCHEMA, RELATIONS, Edge, Node, build_from_pairs
+from trine.graph import DEFAULT_SCHEMA, RELATIONS, Edge, Node
 from trine.sampling import NegativeSampler
 from trine.synth import planted_graph
 from trine import trainer
@@ -28,6 +28,7 @@ from trine.trainer import (EmbeddingStore, TrainConfig, _BATCH_EDGES, _INIT_STRE
 from trine.walks import TypedCorpus, filter_by_type, generate_corpus, window_pairs
 
 from conftest import child_pids, party_corpus, random_tripartite, run_bounded, typed_from_sequences
+from reference import build_from_pairs, copy_store
 from test_sampling import brute_force_pairs
 
 # Minor page faults of `train` on the acceptance graph at test_trained_auc's
@@ -367,7 +368,7 @@ class TestMinibatchStep:
         for r, (a, b) in enumerate([(0, 1), (1, 2), (0, 2)]):
             store = make_store((4, 3, 5), 6, rng, scale=0.5)
             emb, ctx, first = store.emb, store.ctx, store.offsets
-            reference = store.copy()
+            reference = copy_store(store)
             w = float(rng.uniform(0.5, 3.0))
             explicit_update(reference, Edge(Node(a, 2), Node(b, 1), w), self.cfg)
             step = self.cfg.lr * self.cfg.gamma * self.cfg.beta[r] * w
@@ -379,7 +380,7 @@ class TestMinibatchStep:
         for p in range(3):
             store = make_store((6, 5, 7), 6, rng, scale=0.5)
             emb, ctx, first = store.emb, store.ctx, store.offsets
-            reference = store.copy()
+            reference = copy_store(store)
             # a repeated negative accumulates, as in the scalar update
             implicit_update(reference, Node(p, 0), Node(p, 1), [Node(p, 3), Node(p, 3)],
                             self.cfg.alpha[p], self.cfg)
@@ -391,7 +392,7 @@ class TestMinibatchStep:
         rng = np.random.default_rng(33)
         store = make_store((8, 8, 8), 6, rng, scale=0.5)
         emb, ctx, first = store.emb, store.ctx, store.offsets
-        reference = store.copy()
+        reference = copy_store(store)
         edges, pairs = [], []
         for r, (a, b, i, j) in enumerate([(0, 1, 0, 0), (1, 2, 1, 1), (0, 2, 2, 2)]):
             explicit_update(reference, Edge(Node(a, i), Node(b, j), 1.5), self.cfg)
@@ -410,17 +411,17 @@ class TestMinibatchStep:
         rng = np.random.default_rng(34)
         store = make_store((3, 3, 3), 6, rng, scale=0.5)
         emb, ctx, first = store.emb, store.ctx, store.offsets
-        start = store.copy()
-        expected = store.copy()
+        start = copy_store(store)
+        expected = copy_store(store)
         steps = []
         # user 0 is in both edges, and is also the centre of a pair
         for j, w in ((0, 1.0), (2, 2.5)):
-            single = start.copy()
+            single = copy_store(start)
             explicit_update(single, Edge(Node(0, 0), Node(1, j), w), self.cfg)
             expected.emb += single.emb - start.emb
             step = self.cfg.lr * self.cfg.gamma * self.cfg.beta[0] * w
             steps.append((first[0], first[1] + j, step))
-        single = start.copy()
+        single = copy_store(start)
         implicit_update(single, Node(0, 0), Node(0, 1), [Node(0, 2), Node(0, 2)],
                         self.cfg.alpha[0], self.cfg)
         expected.emb += single.emb - start.emb
@@ -433,7 +434,7 @@ class TestMinibatchStep:
         rng = np.random.default_rng(35)
         store = make_store((4, 4, 4), 6, rng, scale=0.5)
         emb, ctx, first = store.emb, store.ctx, store.offsets
-        before = store.copy()
+        before = copy_store(store)
         run_batch(emb, ctx, [(first[0], first[1], 0.0)], [(first[2], [first[2] + 1] * 3, 0.0)])
         assert_stores_close(store, before, atol=0)
 

@@ -14,8 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from trine import walks
 from trine.centrality import hits, walk_budget
-from trine.graph import N_PARTIES, Metapath, Node, build_from_pairs
+from trine.graph import N_PARTIES, Metapath, Node
 from trine.trainer import default_metapaths
+
+from reference import build_from_pairs, metapath_walk
 
 # Extra metapaths: a two-type one, one that wraps into a repeated party (its
 # walks stop at four nodes) and a long one.
@@ -42,13 +44,14 @@ def reference_walks(g, metapaths, scores, min_walks, max_walks, scale, length, s
     for party in range(N_PARTIES):
         for index in range(g.counts[party]):
             node = Node(party, index)
-            budget = int(walk_budget(scores.of(node), min_walks, max_walks, scale))
+            score = scores.authority[g.offsets[party] + index]
+            budget = int(walk_budget(score, min_walks, max_walks, scale))
             for m, path in enumerate(metapaths):
                 if path.start != party:
                     continue
                 for w in range(budget):
                     rng = CounterStream(seed, m, party, index, w)
-                    out.append((m, walks.metapath_walk(g, node, path, length, rng)))
+                    out.append((m, metapath_walk(g, node, path, length, rng)))
     return out
 
 

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from trine import walks
 from trine.centrality import hits
-from trine.graph import Metapath, Node, build_from_pairs
+from trine.graph import Metapath, Node
 from trine.trainer import default_metapaths
-from trine.walks import filter_by_type, generate_corpus, metapath_walk, write_walks
+from trine.walks import filter_by_type, generate_corpus, write_walks
 
 from conftest import party_corpus, party_sequences, random_tripartite, walk_corpus
+from reference import build_from_pairs, metapath_walk, neighbors
 
 # Row offsets of a graph with 3 users, 4 pages and 2 items.
 _OFFSETS = np.array([0, 3, 7, 9])
@@ -61,7 +62,7 @@ class TestMetapathWalk:
         rng = np.random.default_rng(3)
         g = random_tripartite(rng, counts=(4, 6, 3), density=0.8)
         start = Node(0, 0)
-        nbrs = [n for n, _ in g.neighbors(start, 1)]
+        nbrs = [Node(1, int(j)) for j in neighbors(g, 0, 0, 1)[0]]
         n_trials = 20_000
         counts = {n: 0 for n in nbrs}
         walk_rng = np.random.default_rng(17)
@@ -81,7 +82,7 @@ class TestMetapathWalk:
         assert len(corpus) > 0
         for walk in corpus.walks:
             for a, b in zip(walk, walk[1:]):
-                assert dict(g.neighbors(a, b.party)).get(b) is not None
+                assert b.index in neighbors(g, a.party, a.index, b.party)[0]
 
 
 class TestGenerateCorpus:
@@ -224,7 +225,7 @@ class TestFilterByType:
         assert typed.nodes.dtype == np.int32 and typed.bounds.dtype == np.int64
         path = tmp_path / "walks.txt"
         write_walks(corpus, g, path)
-        assert path.read_text() == "".join(" ".join(g.label_of(n) for n in w) + "\n" for w in walks)
+        assert path.read_text() == "".join(" ".join(g.labels[n.party][n.index] for n in w) + "\n" for w in walks)
 
     @pytest.mark.parametrize("block", [1, 3])
     def test_write_walks_in_blocks_matches_default(self, tmp_path, monkeypatch, block):
